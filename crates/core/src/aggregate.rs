@@ -1,8 +1,8 @@
-//! Exact prefix compression: the optimization pass for the aggregated
-//! mode's precision/state tradeoff.
+//! Exact prefix compression: the cover the compiler's exact and
+//! TCAM-budgeted policies choose ([`crate::compiler`]).
 //!
-//! The default aggregated mode installs one *subnet* rule per port — small
-//! but over-permissive (unassigned addresses in the subnet pass). This
+//! The subnet policy holds one *subnet* rule per port and bound subnet —
+//! small but over-permissive (unassigned addresses in the subnet pass). This
 //! module computes the **minimal exact CIDR cover** of a set of addresses:
 //! the smallest list of prefixes whose union is exactly that set. Rules
 //! compiled from the exact cover admit precisely the bound addresses while

@@ -14,12 +14,12 @@
 //! installed, matching rules kept with their switch-side timers intact.
 
 use crate::binding::{Binding, BindingChange, BindingSource, BindingTable};
-use crate::compiler::{self, RuleCompiler};
+use crate::compiler::RuleCompiler;
 use crate::rules;
 use crate::{SAV_COOKIE, SAV_COOKIE_MASK};
 use sav_controller::app::{App, Ctx, Disposition};
 use sav_metrics::Counters;
-use sav_net::addr::{Ipv4Cidr, Ipv6Cidr, MacAddr};
+use sav_net::addr::{Ipv6Cidr, MacAddr};
 use sav_net::dhcpv4::{DhcpMessageType, DhcpRepr, DHCP_SERVER_PORT};
 use sav_net::packet::{L4Info, ParsedPacket};
 use sav_obs::{EventKind, Obs, Severity, Span, TraceId, TraceStageGuard};
@@ -28,6 +28,7 @@ use sav_openflow::messages::{
     FlowMod, FlowModCommand, FlowRemoved, FlowRemovedReason, FlowStatsEntry, FlowStatsRequest,
     Message, MultipartReplyBody, MultipartRequestBody, PacketIn, PacketOut, PortStatus,
 };
+use sav_openflow::oxm::OxmMatch;
 use sav_openflow::prelude::Action;
 use sav_sim::{SimDuration, SimTime};
 use sav_store::{BindingRecord, BindingStore, RecordSource, WalOp};
@@ -97,12 +98,15 @@ pub struct SavConfig {
     pub fcfs: bool,
     /// Include `eth_src` in allow rules (binds IP to MAC, not just port).
     pub match_mac: bool,
-    /// Compile per-port *prefix* allows instead of per-host rules.
+    /// Cover each port's bound addresses with *prefix* allows instead of
+    /// per-host rules: one rule per address-plan subnet holding a binding.
+    /// Selects the compiler's cover policy (see [`crate::compiler`]);
+    /// overrides `tcam_budget`.
     pub aggregate: bool,
     /// With `aggregate`: use the minimal *exact* CIDR cover of the port's
     /// bound addresses ([`crate::aggregate::exact_cover`]) instead of the
     /// whole subnet — no unassigned address passes, dense blocks still
-    /// merge.
+    /// merge. Equivalent to a TCAM budget of zero.
     pub aggregate_exact: bool,
     /// Enforce outbound SAV at edge switches.
     pub outbound: bool,
@@ -125,12 +129,11 @@ pub struct SavConfig {
     /// with this configuration. `None` leaves the rule set byte-identical
     /// to a guard-less deployment.
     pub border: Option<BorderConfig>,
-    /// Per-port TCAM budget for adaptive aggregation (proactive per-host
-    /// mode only). A port's host allows are compressed into the exact CIDR
-    /// cover of its bound addresses once their count *exceeds* this budget,
-    /// and split back toward host rules when releases/migrations shrink the
-    /// set. `None` (the default) keeps pure per-host rules and leaves every
-    /// existing mode byte-identical.
+    /// Per-port TCAM budget for adaptive aggregation. A port's host allows
+    /// are compressed into the exact CIDR cover of its bound addresses once
+    /// their count *exceeds* this budget, and split back toward host rules
+    /// when releases/migrations shrink the set. `None` (the default) keeps
+    /// pure per-host rules.
     pub tcam_budget: Option<usize>,
 }
 
@@ -243,6 +246,16 @@ pub struct SavStats {
     pub rules_deleted: u64,
 }
 
+/// Why a binding leaves the table: decides its WAL record, whether it counts
+/// as an expiry, and whether the switch already dropped its host rule.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gone {
+    Released,
+    PortDown,
+    LeaseExpired,
+    RuleTimedOut,
+}
+
 /// The SAV application. Place it *before* the forwarding app in the chain
 /// so it can consume validation punts.
 pub struct SavApp {
@@ -271,8 +284,8 @@ pub struct SavApp {
     /// Switches currently up (drives the `sav_connected_switches` gauge).
     connected: HashSet<u64>,
     /// Incremental compiler: per-(dpid, port) mirror + installed-rule cache
-    /// emitting minimal deltas. Owns rule placement on the proactive
-    /// per-host path (see [`SavApp::compiler_active`]).
+    /// emitting minimal deltas. Owns every proactive allow rule, whatever
+    /// the aggregation policy.
     compiler: RuleCompiler,
     /// Causal trace of the binding currently mid-upsert, with the dpid its
     /// enforcement lands on; stage hooks attach to it while set.
@@ -293,11 +306,7 @@ impl SavApp {
             .iter()
             .map(|s| (s.id.dpid(), topo.trunk_ports(s.id).into_iter().collect()))
             .collect();
-        let compiler = RuleCompiler::new(
-            config.match_mac,
-            config.dynamic_idle_timeout,
-            config.tcam_budget,
-        );
+        let compiler = RuleCompiler::for_config(&config, &topo);
         SavApp {
             topo,
             config,
@@ -382,41 +391,55 @@ impl SavApp {
     /// release) and retire its rules — under a TCAM budget a release inside
     /// a covered block splits the cover. Returns the removed binding.
     pub fn release_binding(&mut self, ctx: &mut Ctx, ip: Ipv4Addr) -> Option<Binding> {
-        let b = self.bindings.remove(ip)?;
-        self.log_op(WalOp::Remove(ip));
-        self.emit(Severity::Info, || EventKind::BindingExpired {
-            ip: ip.to_string(),
-            dpid: b.dpid,
-        });
-        let now = ctx.now();
-        self.retire_rules(ctx, &b, now);
-        self.refresh_gauges();
+        let b = *self.bindings.get(ip)?;
+        self.drop_bindings(ctx, &[b], Gone::Released);
         Some(b)
     }
 
     /// Sweep lease-expired bindings out of the table and retire their
     /// rules, returning how many died. Cover rules carry no switch-side
-    /// timers (one rule stands for many leases), so under a TCAM budget
-    /// [`App::on_poll`] drives this sweep; without a budget the switch's
-    /// own `FlowRemoved` remains the expiry signal and the sweep finds at
-    /// most bindings whose rules are about to report the same thing.
+    /// timers (one rule stands for many leases), so under any policy that
+    /// can emit them [`App::on_poll`] drives this sweep; under pure
+    /// per-host rules the switch's own `FlowRemoved` remains the expiry
+    /// signal and the sweep finds at most bindings whose rules are about to
+    /// report the same thing.
     pub fn sweep_expired(&mut self, ctx: &mut Ctx) -> usize {
+        let dead = self.bindings.expire(ctx.now());
+        self.drop_bindings(ctx, &dead, Gone::LeaseExpired);
+        dead.len()
+    }
+
+    /// Take `gone` out of the table: WAL record, expiry count, journal
+    /// event, and the rule delta their ports now need — the one exit path
+    /// of every binding.
+    fn drop_bindings(&mut self, ctx: &mut Ctx, gone: &[Binding], why: Gone) {
         let now = ctx.now();
-        let dead = self.bindings.expire(now);
-        let n = dead.len();
-        for b in dead {
-            self.log_op(WalOp::Expire(b.ip));
-            self.stats.bindings_expired += 1;
+        for b in gone {
+            self.bindings.remove(b.ip);
+            self.log_op(match why {
+                Gone::Released | Gone::PortDown => WalOp::Remove(b.ip),
+                Gone::LeaseExpired | Gone::RuleTimedOut => WalOp::Expire(b.ip),
+            });
+            if why != Gone::Released {
+                self.stats.bindings_expired += 1;
+            }
             self.emit(Severity::Info, || EventKind::BindingExpired {
                 ip: b.ip.to_string(),
                 dpid: b.dpid,
             });
-            self.retire_rules(ctx, &b, now);
+            if self.compiler_active() {
+                let delta = match why {
+                    // The switch already dropped the rule; evict it from
+                    // the cache without a delete.
+                    Gone::RuleTimedOut => self.compiler.rule_expired(b, now),
+                    _ => self.compiler.unbind(b, now),
+                };
+                self.ship_delta(ctx, b.dpid, delta);
+            }
         }
-        if n > 0 {
+        if !gone.is_empty() {
             self.refresh_gauges();
         }
-        n
     }
 
     /// Allow rules the incremental compiler believes are installed across
@@ -574,52 +597,47 @@ impl SavApp {
         self.config.mode == SavMode::Reactive || self.config.fcfs
     }
 
-    /// Reconciliation needs a one-to-one binding↔rule mapping, which only
-    /// the proactive non-aggregate mode has; other modes fall back to the
-    /// blind re-push path.
+    /// A recovered controller reconciles each switch's installed rules
+    /// against the desired set instead of blindly re-pushing. Reactive mode
+    /// holds no proactive allows to reconcile.
     fn reconcile_enabled(&self) -> bool {
-        self.recovered && self.config.mode == SavMode::Proactive && !self.config.aggregate
+        self.recovered && self.compiler_active()
     }
 
-    /// Every SAV rule this edge switch *should* have right now: trunk
-    /// pass-throughs, the default deny, DHCP snoop rules, and one allow per
-    /// binding anchored here. The reconciliation target set.
-    fn desired_edge_rules(&self, dpid: u64, now: SimTime) -> Vec<FlowMod> {
-        let Some(sid) = SwitchId::from_dpid(dpid) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for port in self.topo.trunk_ports(sid) {
-            out.push(rules::trunk_allow(port));
-        }
+    /// The binding-independent rules of an edge switch: trunk
+    /// pass-throughs, the default deny, and the DHCP snoop rules.
+    fn edge_base_rules(&self, sid: SwitchId) -> Vec<FlowMod> {
+        let dpid = sid.dpid();
+        let trunks = self.topo.trunk_ports(sid);
+        let mut out: Vec<FlowMod> = trunks.into_iter().map(rules::trunk_allow).collect();
         out.push(rules::edge_default_deny(self.punt_mode()));
         if self.config.dhcp_snooping {
             out.push(rules::dhcp_client_permit());
-            for &(sdpid, sport) in &self.config.trusted_dhcp_ports {
-                if sdpid == dpid {
-                    out.push(rules::dhcp_server_trust(sport));
-                }
-            }
+            let trusted = self.config.trusted_dhcp_ports.iter();
+            out.extend(
+                trusted
+                    .filter(|(d, _)| *d == dpid)
+                    .map(|&(_, port)| rules::dhcp_server_trust(port)),
+            );
         }
-        // Per-port wholesale compile — under a TCAM budget dense ports
-        // come out as exact covers, exactly as the incremental path leaves
-        // them, so reconciliation keeps (not churns) a recovered cover.
-        let mut by_port: std::collections::BTreeMap<
-            u32,
-            std::collections::BTreeMap<Ipv4Addr, Binding>,
-        > = std::collections::BTreeMap::new();
-        for b in self.bindings.on_switch(dpid) {
-            by_port.entry(b.port).or_default().insert(b.ip, *b);
-        }
-        for bs in by_port.values() {
-            out.extend(compiler::compile_port(
-                bs,
-                self.config.match_mac,
-                self.config.dynamic_idle_timeout,
-                self.config.tcam_budget,
-                now,
-            ));
-        }
+        out
+    }
+
+    /// The reconciliation target: every SAV rule this edge switch *should*
+    /// have right now — the base rules plus the compiler's rule set for
+    /// the current binding table, which the compiler adopts as installed
+    /// (the diff about to ship makes it so): the next binding change is
+    /// then an incremental delta, not a blind reinstall. Exactly what the
+    /// incremental path leaves behind, so reconciliation keeps (not
+    /// churns) a recovered cover.
+    fn desired_edge_rules(&mut self, dpid: u64, now: SimTime) -> Vec<FlowMod> {
+        let Some(sid) = SwitchId::from_dpid(dpid) else {
+            return Vec::new();
+        };
+        let on_switch: Vec<Binding> = self.bindings.on_switch(dpid).copied().collect();
+        self.compiler.prime_switch(dpid, &on_switch);
+        let mut out = self.edge_base_rules(sid);
+        out.extend(self.compiler.installed_rules(dpid, now));
         out
     }
 
@@ -633,70 +651,49 @@ impl SavApp {
             let _span = self.span("rule_compile");
             self.desired_edge_rules(dpid, now)
         };
-        let mut matched = vec![false; desired.len()];
-        let (mut kept, mut deleted, mut installed) = (0u64, 0u64, 0u64);
-        for e in entries {
-            if e.cookie & SAV_COOKIE_MASK != SAV_COOKIE {
-                continue; // not ours — never touch other apps' rules
-            }
-            let hit = desired
-                .iter()
-                .enumerate()
-                .find(|(i, fm)| {
-                    !matched[*i]
-                        && fm.priority == e.priority
-                        && fm.cookie == e.cookie
-                        && fm.match_ == e.match_
-                })
-                .map(|(i, _)| i);
-            match hit {
-                Some(i) => {
-                    matched[i] = true;
-                    kept += 1;
-                }
-                None => {
-                    // Stray: installed but no longer justified by any
-                    // binding (e.g. released or superseded during the
-                    // outage — or a rule this recovered table never knew).
-                    ctx.install(
-                        dpid,
-                        FlowMod {
-                            priority: e.priority,
-                            table_id: e.table_id,
-                            command: sav_openflow::messages::FlowModCommand::DeleteStrict,
-                            ..FlowMod::add(e.match_.clone())
-                        },
-                    );
-                    self.stats.rules_deleted += 1;
-                    deleted += 1;
-                }
-            }
+        // Hash join on (match, priority, cookie): index what the switch
+        // holds, probe it with what it should hold; a hit consumes the
+        // entry, and once none are left nothing more can match.
+        let mut held: HashMap<(&OxmMatch, u16, u64), usize> = entries
+            .iter()
+            .enumerate()
+            // Not ours — never touch other apps' rules.
+            .filter(|(_, e)| e.cookie & SAV_COOKIE_MASK == SAV_COOKIE)
+            .map(|(i, e)| ((&e.match_, e.priority, e.cookie), i))
+            .collect();
+        let ours = held.len();
+        let missing: Vec<bool> = desired
+            .iter()
+            .map(|fm| {
+                held.is_empty() || held.remove(&(&fm.match_, fm.priority, fm.cookie)).is_none()
+            })
+            .collect();
+        // Strays: installed but no longer justified by any binding (e.g.
+        // released or superseded during the outage — or a rule this
+        // recovered table never knew). Deleted in the switch's own order.
+        let mut strays: Vec<usize> = held.into_values().collect();
+        strays.sort_unstable();
+        let (kept, deleted) = (ours - strays.len(), strays.len());
+        let installed = missing.iter().filter(|m| **m).count();
+        for e in strays.into_iter().map(|i| &entries[i]) {
+            ctx.install(
+                dpid,
+                FlowMod {
+                    priority: e.priority,
+                    table_id: e.table_id,
+                    command: FlowModCommand::DeleteStrict,
+                    ..FlowMod::add(e.match_.clone())
+                },
+            );
         }
-        for (i, fm) in desired.into_iter().enumerate() {
-            if !matched[i] {
-                ctx.install(dpid, fm);
-                self.stats.rules_installed += 1;
-                installed += 1;
-            }
+        for (fm, _) in desired.into_iter().zip(missing).filter(|(_, m)| *m) {
+            ctx.install(dpid, fm);
         }
-        self.counters.add("reconciled_kept", kept);
-        self.counters.add("reconciled_deleted", deleted);
-        self.counters.add("reconciled_installed", installed);
-        if self.compiler_active() {
-            // The switch now holds exactly the desired set: hand the
-            // compiler a primed cache so the next binding change is an
-            // incremental delta, not a blind reinstall.
-            let on_switch: Vec<Binding> = self.bindings.on_switch(dpid).copied().collect();
-            self.compiler.prime_switch(dpid, &on_switch);
-        }
-    }
-
-    fn subnet_of(&self, ip: Ipv4Addr) -> Option<Ipv4Cidr> {
-        self.topo
-            .subnets()
-            .into_iter()
-            .map(|(c, _)| c)
-            .find(|c| c.contains(ip))
+        self.stats.rules_deleted += deleted as u64;
+        self.stats.rules_installed += installed as u64;
+        self.counters.add("reconciled_kept", kept as u64);
+        self.counters.add("reconciled_deleted", deleted as u64);
+        self.counters.add("reconciled_installed", installed as u64);
     }
 
     /// RFC 6620-style prefix guard: FCFS may only claim addresses within a
@@ -710,12 +707,10 @@ impl SavApp {
         self.topo.hosts_on(sid).any(|h| h.subnet.contains(ip))
     }
 
-    /// The incremental compiler owns rule placement for the proactive
-    /// per-host path, with or without a TCAM budget. Reactive mode installs
-    /// no proactive allows and the legacy whole-subnet aggregate modes keep
-    /// their coarse one-shot compilation.
+    /// The compiler owns every proactive allow rule. Reactive mode keeps
+    /// the table, not the rules: it installs allows per validated punt.
     fn compiler_active(&self) -> bool {
-        self.config.mode == SavMode::Proactive && !self.config.aggregate
+        self.config.mode == SavMode::Proactive
     }
 
     /// Ship a compiled delta to `dpid`: count and journal each mod, then
@@ -760,90 +755,75 @@ impl SavApp {
         }
     }
 
-    /// Place (or refresh) the rules `b` needs. On the compiler path this is
-    /// a minimal delta — zero mods for a no-op refresh, a cover
-    /// re-derivation when crossing the TCAM budget.
+    /// Place (or refresh) the rules `b` needs: a minimal delta — zero mods
+    /// for a no-op refresh, a cover re-derivation when the policy says so.
     fn place_rules(&mut self, ctx: &mut Ctx, b: &Binding, now: SimTime) {
-        if self.compiler_active() {
-            let delta = {
-                let _span = self.span("rule_compile");
-                let _trace = self.trace_stage("compile");
-                self.compiler.bind(b, now)
-            };
-            self.ship_delta(ctx, b.dpid, delta);
-        } else {
-            self.install_allow(ctx, b, now);
-        }
-    }
-
-    /// Retire the rules `b` no longer justifies. On the compiler path a
-    /// release inside a covered block re-derives (splits) the cover.
-    fn retire_rules(&mut self, ctx: &mut Ctx, b: &Binding, now: SimTime) {
-        if self.compiler_active() {
-            let delta = self.compiler.unbind(b, now);
-            self.ship_delta(ctx, b.dpid, delta);
-        } else {
-            self.delete_allow(ctx, b);
-        }
-    }
-
-    fn install_allow(&mut self, ctx: &mut Ctx, b: &Binding, now: SimTime) {
-        if self.config.mode == SavMode::Reactive {
-            return; // reactive mode keeps the table, not the rules
-        }
-        let _span = self.span("rule_compile");
-        let fm = if self.config.aggregate {
-            if self.config.aggregate_exact {
-                // Incremental exactness: a dynamically learned binding gets
-                // its own host-prefix rule; the dense static blocks were
-                // compressed at switch-up.
-                rules::prefix_allow(b.port, Ipv4Cidr::host(b.ip))
-            } else if let Some(prefix) = self.subnet_of(b.ip) {
-                rules::prefix_allow(b.port, prefix)
-            } else {
-                return;
-            }
-        } else {
-            self.compile_allow(b, now)
-        };
-        self.emit(Severity::Info, || EventKind::RuleInstalled {
-            dpid: b.dpid,
-            cookie: fm.cookie,
-            priority: fm.priority,
-        });
-        if let Some(obs) = &self.obs {
-            obs.counters.incr("sav_rules_installed_total");
-        }
-        ctx.install(b.dpid, fm);
-        self.stats.rules_installed += 1;
-    }
-
-    /// The per-binding allow rule with lifecycle timeouts (non-aggregate
-    /// proactive shape) — shared by fresh installs and reconciliation.
-    /// Delegates to the compiler's [`compiler::host_flow`] so the
-    /// incremental and wholesale paths can never drift apart.
-    fn compile_allow(&self, b: &Binding, now: SimTime) -> FlowMod {
-        compiler::host_flow(
-            b,
-            self.config.match_mac,
-            self.config.dynamic_idle_timeout,
-            now,
-        )
-    }
-
-    fn delete_allow(&mut self, ctx: &mut Ctx, b: &Binding) {
-        if self.config.mode == SavMode::Reactive || self.config.aggregate {
+        if !self.compiler_active() {
             return;
         }
-        self.emit(Severity::Info, || EventKind::RuleDeleted {
-            dpid: b.dpid,
-            cookie: rules::allow_cookie(b),
-        });
-        if let Some(obs) = &self.obs {
-            obs.counters.incr("sav_rules_deleted_total");
+        let delta = {
+            let _span = self.span("rule_compile");
+            let _trace = self.trace_stage("compile");
+            self.compiler.bind(b, now)
+        };
+        self.ship_delta(ctx, b.dpid, delta);
+    }
+
+    /// Retire the rules `b` no longer justifies: the host-rule delete, the
+    /// split of the cover it sat in, or the delete of a prefix it was the
+    /// last binding under.
+    fn retire_rules(&mut self, ctx: &mut Ctx, b: &Binding, now: SimTime) {
+        if !self.compiler_active() {
+            return;
         }
-        ctx.install(b.dpid, rules::binding_delete(b, self.config.match_mac));
-        self.stats.rules_deleted += 1;
+        let delta = self.compiler.unbind(b, now);
+        self.ship_delta(ctx, b.dpid, delta);
+    }
+
+    /// Seed the static address plan of `sid` into the binding *table*; the
+    /// rules follow as one switch-wide batch or out of the reconciliation
+    /// diff, not one flow-mod round-trip per host. A refresh is not
+    /// journaled: a static seed carries no lease, and every switch-up
+    /// re-derives it from the topology anyway.
+    fn seed_static_plan(&mut self, ctx: &mut Ctx, sid: SwitchId) {
+        let dpid = sid.dpid();
+        let now = ctx.now();
+        let seeds: Vec<Binding> = self
+            .topo
+            .hosts_on(sid)
+            .map(|h| Binding {
+                ip: h.ip,
+                mac: h.mac,
+                dpid,
+                port: h.port,
+                source: BindingSource::Static,
+                expires: None,
+            })
+            .collect();
+        for b in seeds {
+            match self.bindings.upsert(b, now) {
+                BindingChange::Added => {
+                    self.log_op(WalOp::Upsert(to_record(&b)));
+                    self.stats.bindings_added += 1;
+                    self.emit(Severity::Info, || EventKind::BindingLearned {
+                        ip: b.ip.to_string(),
+                        mac: b.mac.to_string(),
+                        dpid: b.dpid,
+                        port: b.port,
+                        source: source_label(b.source),
+                    });
+                }
+                BindingChange::Refreshed => {}
+                BindingChange::Moved(old) => {
+                    self.log_op(WalOp::Migrate(to_record(&b)));
+                    self.stats.bindings_moved += 1;
+                    if old.dpid != dpid {
+                        self.retire_rules(ctx, &old, now);
+                    }
+                }
+                BindingChange::Conflict(_) => self.stats.conflicts += 1,
+            }
+        }
     }
 
     fn apply_upsert(&mut self, ctx: &mut Ctx, b: Binding, now: SimTime) -> BindingChange {
@@ -883,19 +863,14 @@ impl SavApp {
                     dpid: b.dpid,
                     port: b.port,
                 });
-                if self.compiler_active() {
-                    // An in-place takeover (same port, new MAC) is a single
-                    // port delta — the compiler strict-deletes the old-MAC
-                    // rule and adds the new one itself. A genuine move also
-                    // retires the old attachment's rules first.
-                    if (old.dpid, old.port) != (b.dpid, b.port) {
-                        self.retire_rules(ctx, &old, now);
-                    }
-                    self.place_rules(ctx, &b, now);
-                } else {
-                    self.delete_allow(ctx, &old);
-                    self.install_allow(ctx, &b, now);
+                // An in-place takeover (same port, new MAC) is a single
+                // port delta — the compiler strict-deletes the old-MAC rule
+                // and adds the new one itself. A genuine move also retires
+                // the old attachment's rules first.
+                if (old.dpid, old.port) != (b.dpid, b.port) {
+                    self.retire_rules(ctx, &old, now);
                 }
+                self.place_rules(ctx, &b, now);
             }
             BindingChange::Conflict(_) => {
                 self.stats.conflicts += 1;
@@ -943,15 +918,7 @@ impl SavApp {
                         .copied()
                         .filter(|b| b.mac == msg.client_mac)
                     {
-                        self.bindings.remove(b.ip);
-                        self.log_op(WalOp::Remove(b.ip));
-                        self.emit(Severity::Info, || EventKind::BindingExpired {
-                            ip: b.ip.to_string(),
-                            dpid: b.dpid,
-                        });
-                        let now = ctx.now();
-                        self.retire_rules(ctx, &b, now);
-                        self.refresh_gauges();
+                        self.drop_bindings(ctx, &[b], Gone::Released);
                     }
                 }
             }
@@ -1147,33 +1114,21 @@ impl App for SavApp {
         if !(self.config.outbound && node.role == SwitchRole::Edge) {
             return;
         }
-        if self.reconcile_enabled() {
-            // Recovered controller: seed/refresh the static plan into the
-            // *table* only, then ask the switch what it actually has — the
-            // rule pushes come out of the flow-stats diff, not a blind
-            // re-install.
-            if self.config.static_plan {
-                let now = ctx.now();
-                let seeds: Vec<Binding> = self
-                    .topo
-                    .hosts_on(sid)
-                    .map(|h| Binding {
-                        ip: h.ip,
-                        mac: h.mac,
-                        dpid,
-                        port: h.port,
-                        source: BindingSource::Static,
-                        expires: None,
-                    })
-                    .collect();
-                for b in seeds {
-                    if matches!(self.bindings.upsert(b, now), BindingChange::Added) {
-                        self.log_op(WalOp::Upsert(to_record(&b)));
-                        self.stats.bindings_added += 1;
-                    }
-                }
+        // A recovered controller asks the switch what it actually has — the
+        // rule pushes come out of the flow-stats diff, not a blind
+        // re-install.
+        let reconcile = self.reconcile_enabled();
+        if !reconcile {
+            for fm in self.edge_base_rules(sid) {
+                ctx.install(dpid, fm);
+                self.stats.rules_installed += 1;
             }
-            self.refresh_gauges();
+        }
+        if self.config.static_plan {
+            self.seed_static_plan(ctx, sid);
+        }
+        self.refresh_gauges();
+        if reconcile {
             self.reconciling.insert(dpid);
             ctx.send(
                 dpid,
@@ -1185,104 +1140,6 @@ impl App for SavApp {
                 })),
             );
             return;
-        }
-        for port in self.topo.trunk_ports(sid) {
-            ctx.install(dpid, rules::trunk_allow(port));
-            self.stats.rules_installed += 1;
-        }
-        ctx.install(dpid, rules::edge_default_deny(self.punt_mode()));
-        self.stats.rules_installed += 1;
-        if self.config.dhcp_snooping {
-            ctx.install(dpid, rules::dhcp_client_permit());
-            self.stats.rules_installed += 1;
-            for &(sdpid, sport) in &self.config.trusted_dhcp_ports {
-                if sdpid == dpid {
-                    ctx.install(dpid, rules::dhcp_server_trust(sport));
-                    self.stats.rules_installed += 1;
-                }
-            }
-        }
-        if self.config.static_plan {
-            let now = ctx.now();
-            let seeds: Vec<Binding> = self
-                .topo
-                .hosts_on(sid)
-                .map(|h| Binding {
-                    ip: h.ip,
-                    mac: h.mac,
-                    dpid,
-                    port: h.port,
-                    source: BindingSource::Static,
-                    expires: None,
-                })
-                .collect();
-            if self.config.aggregate && self.config.aggregate_exact {
-                // Group addresses per port and compile the minimal exact
-                // cover of each group.
-                let mut by_port: std::collections::BTreeMap<u32, Vec<Ipv4Addr>> =
-                    std::collections::BTreeMap::new();
-                for b in &seeds {
-                    by_port.entry(b.port).or_default().push(b.ip);
-                    self.bindings.upsert(*b, now);
-                    self.log_op(WalOp::Upsert(to_record(b)));
-                    self.stats.bindings_added += 1;
-                }
-                for (port, ips) in by_port {
-                    for prefix in crate::aggregate::exact_cover(&ips) {
-                        ctx.install(dpid, rules::prefix_allow(port, prefix));
-                        self.stats.rules_installed += 1;
-                    }
-                }
-            } else if self.config.aggregate {
-                let mut seen_ports = HashSet::new();
-                for b in seeds {
-                    // One prefix rule per port, not per host.
-                    let fresh = seen_ports.insert(b.port);
-                    self.bindings.upsert(b, now);
-                    self.log_op(WalOp::Upsert(to_record(&b)));
-                    self.stats.bindings_added += 1;
-                    if fresh {
-                        self.install_allow(ctx, &b, now);
-                    }
-                }
-            } else if self.compiler_active() {
-                // Seed the table only; the rules ship as one switch-wide
-                // batch below instead of one flow-mod round-trip per host.
-                for b in seeds {
-                    match self.bindings.upsert(b, now) {
-                        BindingChange::Added => {
-                            self.log_op(WalOp::Upsert(to_record(&b)));
-                            self.stats.bindings_added += 1;
-                            self.emit(Severity::Info, || EventKind::BindingLearned {
-                                ip: b.ip.to_string(),
-                                mac: b.mac.to_string(),
-                                dpid: b.dpid,
-                                port: b.port,
-                                source: source_label(b.source),
-                            });
-                        }
-                        BindingChange::Refreshed => {
-                            self.log_op(WalOp::Upsert(to_record(&b)));
-                        }
-                        BindingChange::Moved(old) => {
-                            self.log_op(WalOp::Migrate(to_record(&b)));
-                            self.stats.bindings_moved += 1;
-                            if old.dpid != dpid {
-                                let d = self.compiler.unbind(&old, now);
-                                self.ship_delta(ctx, old.dpid, d);
-                            }
-                        }
-                        BindingChange::Conflict(_) => {
-                            self.stats.conflicts += 1;
-                        }
-                    }
-                }
-            } else {
-                // Reactive mode: standard path, which installs nothing.
-                for b in seeds {
-                    self.apply_upsert(ctx, b, now);
-                }
-            }
         }
         if self.compiler_active() {
             // The switch (re)connected with a table we must assume fresh:
@@ -1301,7 +1158,6 @@ impl App for SavApp {
             };
             self.ship_delta(ctx, dpid, delta);
         }
-        self.refresh_gauges();
     }
 
     fn on_switch_down(&mut self, _ctx: &mut Ctx, dpid: u64) {
@@ -1376,22 +1232,9 @@ impl App for SavApp {
                 (BindingSource::Fcfs, _) => true,
             };
             if retire {
-                self.bindings.remove(ip);
-                self.log_op(WalOp::Expire(ip));
-                self.stats.bindings_expired += 1;
-                self.emit(Severity::Info, || EventKind::BindingExpired {
-                    ip: ip.to_string(),
-                    dpid,
-                });
-                if self.compiler_active() {
-                    // The switch already dropped the rule; evict it from
-                    // the cache without a delete. Under a budget the
-                    // shrunken set may re-derive the port's cover.
-                    let now = ctx.now();
-                    let delta = self.compiler.rule_expired(&b, now);
-                    self.ship_delta(ctx, dpid, delta);
-                }
-                self.refresh_gauges();
+                // Under a budget the shrunken set may re-derive the port's
+                // cover.
+                self.drop_bindings(ctx, &[b], Gone::RuleTimedOut);
             }
         }
     }
@@ -1419,25 +1262,15 @@ impl App for SavApp {
             .filter(|b| b.dpid == dpid && b.port == port && b.source == BindingSource::Fcfs)
             .copied()
             .collect();
-        for b in doomed {
-            self.bindings.remove(b.ip);
-            self.log_op(WalOp::Remove(b.ip));
-            self.stats.bindings_expired += 1;
-            self.emit(Severity::Info, || EventKind::BindingExpired {
-                ip: b.ip.to_string(),
-                dpid: b.dpid,
-            });
-            let now = ctx.now();
-            self.retire_rules(ctx, &b, now);
-        }
-        self.refresh_gauges();
+        self.drop_bindings(ctx, &doomed, Gone::PortDown);
     }
 
     fn on_poll(&mut self, ctx: &mut Ctx, _dpid: u64) {
-        // Cover rules carry no switch-side timers, so lease expiry under a
-        // TCAM budget is controller-driven. Without a budget the switch's
-        // FlowRemoved stays the sole expiry signal, exactly as before.
-        if self.config.tcam_budget.is_some() {
+        // Covers carry no switch-side timers, so lease expiry under any
+        // policy that can emit them is controller-driven. Under pure
+        // per-host rules the switch's FlowRemoved stays the sole expiry
+        // signal.
+        if self.compiler.emits_timerless_rules() {
             self.sweep_expired(ctx);
         }
     }
@@ -2197,5 +2030,167 @@ mod tests {
         for fm in &mods {
             assert_eq!(fm.cookie & crate::SAV_COOKIE_MASK, crate::SAV_COOKIE);
         }
+    }
+
+    fn dhcp_binding(ip: u32, dpid: u64, port: u32, lease_secs: u64) -> Binding {
+        Binding {
+            ip: Ipv4Addr::from(ip),
+            mac: MacAddr::from_index(u64::from(ip & 0xff) + 1),
+            dpid,
+            port,
+            source: BindingSource::Dhcp,
+            expires: Some(SimTime::from_secs(lease_secs)),
+        }
+    }
+
+    fn is_prefix_rule(fm: &FlowMod, port: u32, command: FlowModCommand) -> bool {
+        let masked = |f: &OxmField| matches!(f, OxmField::Ipv4Src(_, Some(_)));
+        fm.command == command
+            && fm.match_.in_port() == Some(port)
+            && fm.match_.fields().iter().any(masked)
+    }
+
+    #[test]
+    fn aggregate_mode_deletes_a_vacated_ports_prefix() {
+        let (topo, mut app) = mk(SavConfig {
+            aggregate: true,
+            ..SavConfig::default()
+        });
+        let (dpid0, dpid1) = (topo.switches()[0].id.dpid(), topo.switches()[1].id.dpid());
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.on_switch_up(&mut ctx, dpid0);
+        app.on_switch_up(&mut ctx, dpid1);
+        drop(ctx.take());
+        let rules_before = app.compiled_rule_count();
+
+        // Host 0 migrates to a fresh port on the other switch: its old
+        // port holds no binding any more, so its prefix must go.
+        let h0 = &topo.hosts()[0];
+        let mut moved = *app.bindings().get(h0.ip).unwrap();
+        (moved.dpid, moved.port) = (dpid1, 42);
+        let mut ctx = Ctx::new(SimTime::from_secs(1));
+        assert!(matches!(
+            app.upsert_binding(&mut ctx, moved),
+            BindingChange::Moved(_)
+        ));
+        let fms = flow_mods(ctx);
+        assert_eq!(fms.len(), 2, "one delete, one add: {fms:?}");
+        assert!(fms.iter().any(
+            |(d, fm)| *d == dpid0 && is_prefix_rule(fm, h0.port, FlowModCommand::DeleteStrict)
+        ));
+        assert!(fms
+            .iter()
+            .any(|(d, fm)| *d == dpid1 && is_prefix_rule(fm, 42, FlowModCommand::Add)));
+        assert_eq!(app.compiled_rule_count(), rules_before);
+
+        // Releasing it empties the new port too.
+        let mut ctx = Ctx::new(SimTime::from_secs(2));
+        app.release_binding(&mut ctx, h0.ip).unwrap();
+        let fms = flow_mods(ctx);
+        assert_eq!(fms.len(), 1);
+        assert!(fms[0].0 == dpid1 && is_prefix_rule(&fms[0].1, 42, FlowModCommand::DeleteStrict));
+        assert_eq!(app.compiled_rule_count(), rules_before - 1);
+    }
+
+    #[test]
+    fn exact_aggregate_splits_a_cover_on_release_and_sweeps_leases_on_poll() {
+        let (topo, mut app) = mk(SavConfig {
+            static_plan: false,
+            aggregate: true,
+            aggregate_exact: true,
+            ..SavConfig::default()
+        });
+        let dpid = topo.switches()[0].id.dpid();
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.on_switch_up(&mut ctx, dpid);
+        // A complete /30 learned over DHCP: .1 on a 10 s lease, the rest
+        // on 600 s.
+        for i in 0..4u32 {
+            let lease = if i == 1 { 10 } else { 600 };
+            app.upsert_binding(&mut ctx, dhcp_binding(0x0a00_0a00 + i, dpid, 1, lease));
+        }
+        drop(ctx.take());
+        assert_eq!(app.compiled_rule_count(), 1, "one /30 cover");
+
+        // A release inside the block splits it: .0, .1, .3 → /31 + /32.
+        let mut ctx = Ctx::new(SimTime::from_secs(1));
+        app.release_binding(&mut ctx, "10.0.10.2".parse().unwrap())
+            .unwrap();
+        let fms = flow_mods(ctx);
+        assert_eq!(fms.len(), 3, "two fragments in, the /30 out: {fms:?}");
+        assert!(is_prefix_rule(&fms[2].1, 1, FlowModCommand::DeleteStrict));
+        assert_eq!(app.compiled_rule_count(), 2);
+
+        // Covers carry no switch timers, so the poll hook sweeps the lease:
+        // nothing at 5 s, .1 gone at 11 s and its /31 re-derived to .0/32.
+        let mut ctx = Ctx::new(SimTime::from_secs(5));
+        app.on_poll(&mut ctx, dpid);
+        assert!(ctx.take().is_empty());
+        let mut ctx = Ctx::new(SimTime::from_secs(11));
+        app.on_poll(&mut ctx, dpid);
+        assert!(app.bindings().get("10.0.10.1".parse().unwrap()).is_none());
+        assert_eq!(app.stats.bindings_expired, 1);
+        let fms = flow_mods(ctx);
+        assert_eq!(
+            fms.iter().map(|(_, fm)| fm.clone()).collect::<Vec<_>>(),
+            vec![
+                rules::cover_allow(1, "10.0.10.0/32".parse().unwrap()),
+                rules::cover_delete(1, "10.0.10.0/31".parse().unwrap()),
+            ]
+        );
+    }
+
+    #[test]
+    fn aggregate_mode_admits_every_subnet_bound_on_a_shared_port() {
+        // Two hosts of different subnets behind one port (an unmanaged
+        // downstream segment): each subnet needs its own prefix rule.
+        let mut t = Topology::new();
+        let s = t.add_switch("s1", SwitchRole::Edge, 0);
+        let subnets = ["10.0.1.0/24", "10.0.2.0/24"];
+        for (i, subnet) in subnets.iter().enumerate() {
+            let subnet: sav_net::addr::Ipv4Cidr = subnet.parse().unwrap();
+            t.attach_host_at(&format!("h{i}"), s, 5, subnet.nth(10).unwrap(), subnet);
+        }
+        let topo = Arc::new(t);
+        let mut app = SavApp::new(
+            topo.clone(),
+            SavConfig {
+                aggregate: true,
+                ..SavConfig::default()
+            },
+        );
+        let mut ctx = Ctx::new(SimTime::ZERO);
+        app.on_switch_up(&mut ctx, s.dpid());
+        let mut table0 = sav_dataplane::flow_table::FlowTable::new(1024);
+        for (_, fm) in flow_mods(ctx) {
+            table0.add(&fm, SimTime::ZERO);
+        }
+        let mut passes = |mac: MacAddr, src: Ipv4Addr| {
+            let udp = sav_net::udp::UdpRepr {
+                src_port: 1,
+                dst_port: 2,
+                payload_len: 0,
+            };
+            let dst = "10.0.9.9".parse().unwrap();
+            let ip = sav_net::ipv4::Ipv4Repr::udp(src, dst, udp.buffer_len());
+            let eth = sav_net::ethernet::EthernetRepr {
+                src: mac,
+                dst: MacAddr::from_index(999),
+                ethertype: sav_net::ethernet::EtherType::Ipv4,
+            };
+            let frame = sav_net::builder::build_ipv4_udp(&eth, &ip, &udp, b"");
+            let packet = ParsedPacket::parse(&frame).unwrap();
+            let ctx = sav_dataplane::MatchContext {
+                in_port: 5,
+                packet: &packet,
+            };
+            let (instructions, _) = table0.lookup(&ctx, SimTime::ZERO, frame.len()).unwrap();
+            !instructions.is_empty() // the default deny's list is empty
+        };
+        for h in topo.hosts() {
+            assert!(passes(h.mac, h.ip), "{} is bound and must pass", h.ip);
+        }
+        let outsider = "10.0.3.10".parse().unwrap();
+        assert!(!passes(topo.hosts()[0].mac, outsider));
     }
 }

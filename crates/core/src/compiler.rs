@@ -1,66 +1,97 @@
-//! The incremental rule compiler: a per-`(switch, port)` compiled-state
-//! cache that turns binding changes into **minimal flow-mod deltas**.
+//! The rule compiler: the **one** definition of "the rules a port should
+//! hold", and the per-`(switch, port)` cache that turns binding changes into
+//! **minimal flow-mod deltas**.
 //!
-//! [`crate::rules`] maps one binding to one rule; this module owns the next
-//! layer up — *which* rules each port should hold right now, and what must
-//! change on the switch to get there. Every `(dpid, port)` carries a mirror
-//! of its bindings plus the rule set the switch is believed to hold; a
-//! binding change re-derives the port's **desired** rule set as a pure
-//! function of the mirror and emits only the difference, adds before
-//! deletes, so a legitimately bound source is never without a matching rule
+//! One pipeline serves every proactive configuration:
+//!
+//! ```text
+//! bindings ──► cover policy ──► desired rule set ──► delta vs. installed
+//! ```
+//!
+//! Every `(dpid, port)` carries a mirror of its bindings plus the rule set
+//! the switch is believed to hold. A binding change re-derives the port's
+//! **desired** set (`desired_specs`) as a pure function of the mirror and
+//! the policy, and emits only the difference, adds before deletes, so a
+//! legitimately bound source is never without a matching rule
 //! mid-transition.
 //!
-//! With a TCAM budget configured ([`crate::SavConfig::tcam_budget`]), a
-//! port whose per-host rule count exceeds the budget is compressed to the
-//! minimal exact CIDR cover of its bound addresses
-//! ([`crate::aggregate::budgeted_cover`]); a release or migration inside a
-//! covered block re-derives the cover, splitting it back toward host rules.
+//! The policy (`CoverPolicy`, resolved from [`SavConfig`] in
+//! [`RuleCompiler::for_config`] and nowhere else) is the only thing that
+//! differs between granularities — per-host, TCAM-budgeted, exact-cover and
+//! subnet-prefix are all "choose a cover for this port's bound addresses":
+//!
+//! | `SavConfig` | policy | a port's rules |
+//! |---|---|---|
+//! | default | `Hosts { budget: None }` | one host allow per binding |
+//! | `tcam_budget: Some(n)` | `Hosts { budget: Some(n) }` | hosts up to `n`, past it the minimal exact CIDR cover ([`crate::aggregate::budgeted_cover`]) |
+//! | `aggregate` + `aggregate_exact` | `Hosts { budget: Some(0) }` | always the exact cover |
+//! | `aggregate` | `Subnet(plan)` | one prefix per plan subnet that holds a binding |
+//!
 //! Because the desired set is **pure** — no hysteresis, no dependence on
 //! the order changes arrived in — the incremental output always converges
-//! to exactly what a from-scratch compile of the final binding table would
-//! produce. That equivalence is the contract the differential suite in
-//! `tests/proptests.rs` enforces.
+//! to exactly what a from-scratch [`RuleCompiler::compile_port`] of the
+//! final binding table produces: releasing the last binding off a port
+//! deletes its prefix, a release inside a cover splits it. That equivalence
+//! is the contract the differential suite in `tests/proptests.rs` enforces
+//! for every policy.
 //!
-//! Cookie attribution is preserved across both shapes: host rules keep the
-//! kind-0 `SAV_COOKIE | ip` cookie (readable by `on_flow_removed` and the
-//! stats poller), covers carry the kind-`0xffff` prefix cookie that both
-//! consumers already ignore.
+//! Host rules keep the kind-0 `SAV_COOKIE | ip` cookie (readable by
+//! `on_flow_removed` and the stats poller) and carry the lease as switch
+//! timers; covers carry the kind-`0xffff` prefix cookie both consumers
+//! ignore and **no** timers — one rule stands for many leases — so any
+//! policy that can emit them ([`RuleCompiler::emits_timerless_rules`]) has
+//! its leases swept by the controller instead.
 
 use crate::aggregate;
 use crate::binding::{Binding, BindingSource};
 use crate::rules;
+use crate::SavConfig;
 use sav_net::addr::{Ipv4Cidr, MacAddr};
 use sav_openflow::messages::FlowMod;
 use sav_sim::SimTime;
-use std::collections::BTreeMap;
+use sav_topo::Topology;
+use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-/// Identity of one compiler-owned allow rule within a `(dpid, port)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum RuleId {
-    /// Per-host allow for this bound source address.
-    Host(Ipv4Addr),
-    /// Exact-cover prefix allow for this block.
-    Cover(Ipv4Cidr),
+/// How a port's bound addresses are covered by allow rules.
+#[derive(Debug)]
+enum CoverPolicy {
+    /// One host rule per binding while they fit in `budget`; past it, the
+    /// minimal exact CIDR cover. `None` never covers, `Some(0)` always does.
+    Hosts { budget: Option<usize> },
+    /// One prefix rule per address-plan subnet holding a binding: the
+    /// coarse mode for ports fronting an unmanaged segment — fewest rules,
+    /// but same-subnet spoofing on that port goes undetected.
+    Subnet(Vec<Ipv4Cidr>),
 }
 
-/// The shape the switch holds for a rule — everything whose change requires
-/// touching the switch. Host lifecycles are captured as the **absolute**
-/// lease expiry, not the encoded `hard_timeout`: re-deriving the same lease
-/// at a later `now` yields a smaller countdown but identical switch state,
-/// and must not read as a change (a no-op refresh emits nothing).
+/// What the switch holds for one host rule — everything whose change
+/// requires touching the switch, and everything the rule renders from. The
+/// lifecycle is the **absolute** lease expiry, not the encoded
+/// `hard_timeout`: re-deriving the same lease at a later `now` yields a
+/// smaller countdown but identical switch state, and must not read as a
+/// change (a no-op refresh emits nothing).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RuleSpec {
-    /// A per-host allow and the fields its match/timeouts derive from.
-    /// `mac` is `None` when MAC matching is off — the rule's shape is then
+struct HostSpec {
+    /// `None` when MAC matching is off — the rule's shape is then
     /// independent of the binding's MAC, and a takeover must not churn it.
-    Host {
-        mac: Option<MacAddr>,
-        source: BindingSource,
-        expires: Option<SimTime>,
-    },
-    /// A prefix cover; its whole shape is in the [`RuleId`].
-    Cover,
+    mac: Option<MacAddr>,
+    source: BindingSource,
+    expires: Option<SimTime>,
+}
+
+/// The allow rules of one port. Host rules are keyed by address and covers
+/// by prefix, so a host identity can only ever hold a host shape.
+#[derive(Debug, Default)]
+struct RuleSet {
+    hosts: BTreeMap<Ipv4Addr, HostSpec>,
+    covers: BTreeSet<Ipv4Cidr>,
+}
+
+impl RuleSet {
+    fn len(&self) -> usize {
+        self.hosts.len() + self.covers.len()
+    }
 }
 
 #[derive(Debug, Default)]
@@ -68,86 +99,52 @@ struct PortState {
     /// Mirror of the binding table restricted to this port.
     bindings: BTreeMap<Ipv4Addr, Binding>,
     /// What the switch is believed to hold for this port.
-    installed: BTreeMap<RuleId, RuleSpec>,
+    installed: RuleSet,
 }
 
-/// Timeouts for a binding's host rule: static never expires, DHCP carries
-/// the remaining lease as a hard timeout, FCFS idles out.
-pub fn lifecycle_timeouts(b: &Binding, dynamic_idle_timeout: u16, now: SimTime) -> (u16, u16) {
-    match b.source {
-        BindingSource::Static => (0, 0),
-        BindingSource::Dhcp => {
-            let remaining = b
-                .expires
-                .map(|t| t.saturating_since(now).as_secs_f64().ceil() as u64)
-                .unwrap_or(0);
-            (0, remaining.min(u64::from(u16::MAX)) as u16)
-        }
-        BindingSource::Fcfs => (dynamic_idle_timeout, 0),
-    }
-}
-
-/// The per-binding allow rule with lifecycle timeouts — the single shape
-/// both the incremental and the wholesale compile produce for a host.
-pub fn host_flow(b: &Binding, match_mac: bool, dynamic_idle_timeout: u16, now: SimTime) -> FlowMod {
-    let (idle, hard) = lifecycle_timeouts(b, dynamic_idle_timeout, now);
-    rules::binding_allow(b, match_mac, idle, hard)
-}
-
-/// From-scratch compile of one port's bindings: the wholesale semantics the
-/// incremental path must agree with. [`crate::SavApp`] uses it to build the
-/// reconciliation target set; the differential suite compares the
-/// incremental compiler's net effect against exactly this output.
-pub fn compile_port(
-    bindings: &BTreeMap<Ipv4Addr, Binding>,
-    match_mac: bool,
-    dynamic_idle_timeout: u16,
-    budget: Option<usize>,
-    now: SimTime,
-) -> Vec<FlowMod> {
-    let Some(first) = bindings.values().next() else {
-        return Vec::new();
-    };
-    let port = first.port;
-    let ips: Vec<Ipv4Addr> = bindings.keys().copied().collect();
-    match aggregate::budgeted_cover(&ips, budget) {
-        Some(cover) => cover
-            .into_iter()
-            .map(|c| rules::cover_allow(port, c))
-            .collect(),
-        None => bindings
-            .values()
-            .map(|b| host_flow(b, match_mac, dynamic_idle_timeout, now))
-            .collect(),
-    }
-}
-
-/// The desired rule set of one port as identity → shape, derived purely
-/// from the binding mirror and the budget.
+/// The desired rule set of one port, derived purely from the binding
+/// mirror and the policy — the single definition of a port's rules.
 fn desired_specs(
     bindings: &BTreeMap<Ipv4Addr, Binding>,
-    budget: Option<usize>,
+    policy: &CoverPolicy,
     match_mac: bool,
-) -> BTreeMap<RuleId, RuleSpec> {
-    let ips: Vec<Ipv4Addr> = bindings.keys().copied().collect();
-    match aggregate::budgeted_cover(&ips, budget) {
-        Some(cover) => cover
-            .into_iter()
-            .map(|c| (RuleId::Cover(c), RuleSpec::Cover))
-            .collect(),
-        None => bindings
-            .values()
-            .map(|b| {
-                (
-                    RuleId::Host(b.ip),
-                    RuleSpec::Host {
+) -> RuleSet {
+    let covers = match policy {
+        CoverPolicy::Hosts { budget } => {
+            let ips: Vec<Ipv4Addr> = bindings.keys().copied().collect();
+            aggregate::budgeted_cover(&ips, *budget)
+        }
+        // A bound address outside the plan keeps an exact /32: a bound
+        // source is never dropped for want of a subnet.
+        CoverPolicy::Subnet(plan) => Some(
+            bindings
+                .keys()
+                .map(|&ip| {
+                    let subnet = plan.iter().find(|c| c.contains(ip));
+                    subnet.copied().unwrap_or_else(|| Ipv4Cidr::host(ip))
+                })
+                .collect(),
+        ),
+    };
+    match covers {
+        Some(covers) => RuleSet {
+            covers: covers.into_iter().collect(),
+            ..RuleSet::default()
+        },
+        None => RuleSet {
+            hosts: bindings
+                .values()
+                .map(|b| {
+                    let spec = HostSpec {
                         mac: match_mac.then_some(b.mac),
                         source: b.source,
                         expires: b.expires,
-                    },
-                )
-            })
-            .collect(),
+                    };
+                    (b.ip, spec)
+                })
+                .collect(),
+            ..RuleSet::default()
+        },
     }
 }
 
@@ -156,19 +153,55 @@ fn desired_specs(
 pub struct RuleCompiler {
     match_mac: bool,
     dynamic_idle_timeout: u16,
-    budget: Option<usize>,
+    policy: CoverPolicy,
     ports: BTreeMap<(u64, u32), PortState>,
 }
 
 impl RuleCompiler {
-    /// A compiler with no cached state.
+    /// A per-host compiler with no cached state; `budget` is the per-port
+    /// TCAM budget past which a port compresses to its exact cover.
     pub fn new(match_mac: bool, dynamic_idle_timeout: u16, budget: Option<usize>) -> RuleCompiler {
+        RuleCompiler::with_policy(
+            match_mac,
+            dynamic_idle_timeout,
+            CoverPolicy::Hosts { budget },
+        )
+    }
+
+    /// The compiler `config` asks for — the one place the aggregation
+    /// knobs are read. `aggregate` overrides `tcam_budget`; its subnet
+    /// policy takes the address plan from `topo`.
+    pub fn for_config(config: &SavConfig, topo: &Topology) -> RuleCompiler {
+        let policy = match (config.aggregate, config.aggregate_exact) {
+            (false, _) => CoverPolicy::Hosts {
+                budget: config.tcam_budget,
+            },
+            (true, true) => CoverPolicy::Hosts { budget: Some(0) },
+            (true, false) => {
+                CoverPolicy::Subnet(topo.subnets().into_iter().map(|(c, _)| c).collect())
+            }
+        };
+        RuleCompiler::with_policy(config.match_mac, config.dynamic_idle_timeout, policy)
+    }
+
+    fn with_policy(
+        match_mac: bool,
+        dynamic_idle_timeout: u16,
+        policy: CoverPolicy,
+    ) -> RuleCompiler {
         RuleCompiler {
             match_mac,
             dynamic_idle_timeout,
-            budget,
+            policy,
             ports: BTreeMap::new(),
         }
+    }
+
+    /// True if this policy can compile a port to covers, which carry no
+    /// switch-side timers: lease expiry must then be driven by the
+    /// controller (`SavApp::sweep_expired`), not by `FlowRemoved`.
+    pub fn emits_timerless_rules(&self) -> bool {
+        !matches!(self.policy, CoverPolicy::Hosts { budget: None })
     }
 
     /// Mirror-only upsert: record the binding without computing a delta.
@@ -205,7 +238,7 @@ impl RuleCompiler {
     pub fn rule_expired(&mut self, b: &Binding, now: SimTime) -> Vec<FlowMod> {
         if let Some(state) = self.ports.get_mut(&(b.dpid, b.port)) {
             state.bindings.remove(&b.ip);
-            state.installed.remove(&RuleId::Host(b.ip));
+            state.installed.hosts.remove(&b.ip);
         }
         self.sync_port(b.dpid, b.port, now)
     }
@@ -240,9 +273,8 @@ impl RuleCompiler {
         for b in bindings {
             self.stage(b);
         }
-        let (budget, match_mac) = (self.budget, self.match_mac);
         for (_, state) in self.ports.range_mut((dpid, 0)..=(dpid, u32::MAX)) {
-            state.installed = desired_specs(&state.bindings, budget, match_mac);
+            state.installed = desired_specs(&state.bindings, &self.policy, self.match_mac);
         }
     }
 
@@ -259,45 +291,78 @@ impl RuleCompiler {
         self.ports.values().map(|s| s.installed.len()).sum()
     }
 
-    /// True if `dpid`'s port holding `ip` is currently compiled as covers.
-    pub fn is_covered(&self, b: &Binding) -> bool {
+    /// From-scratch compile of one port's bindings — the desired set,
+    /// rendered. The differential suite holds the incremental path's net
+    /// effect to exactly this output.
+    pub fn compile_port(
+        &self,
+        bindings: &BTreeMap<Ipv4Addr, Binding>,
+        now: SimTime,
+    ) -> Vec<FlowMod> {
+        let Some(port) = bindings.values().next().map(|b| b.port) else {
+            return Vec::new();
+        };
+        let want = desired_specs(bindings, &self.policy, self.match_mac);
+        self.render(port, &want, now).collect()
+    }
+
+    /// Every allow rule the cache believes `dpid` holds, rendered — after
+    /// [`prime_switch`], the reconciliation target.
+    ///
+    /// [`prime_switch`]: RuleCompiler::prime_switch
+    pub fn installed_rules(&self, dpid: u64, now: SimTime) -> Vec<FlowMod> {
         self.ports
-            .get(&(b.dpid, b.port))
-            .map(|s| s.installed.keys().any(|id| matches!(id, RuleId::Cover(_))))
-            .unwrap_or(false)
+            .range((dpid, 0)..=(dpid, u32::MAX))
+            .flat_map(|((_, port), state)| self.render(*port, &state.installed, now))
+            .collect()
     }
 
-    fn add_for(&self, state: &PortState, port: u32, id: &RuleId, now: SimTime) -> FlowMod {
-        match id {
-            RuleId::Host(ip) => {
-                let b = state.bindings.get(ip).expect("desired host has a binding");
-                host_flow(b, self.match_mac, self.dynamic_idle_timeout, now)
-            }
-            RuleId::Cover(c) => rules::cover_allow(port, *c),
+    fn render<'a>(
+        &'a self,
+        port: u32,
+        set: &'a RuleSet,
+        now: SimTime,
+    ) -> impl Iterator<Item = FlowMod> + 'a {
+        let hosts = set.hosts.iter();
+        hosts
+            .map(move |(ip, spec)| self.host_add(port, *ip, spec, now))
+            .chain(set.covers.iter().map(move |c| rules::cover_allow(port, *c)))
+    }
+
+    /// The binding fields a host rule's match, cookie and timeouts derive
+    /// from; the rest is a placeholder (and the MAC too, when MAC matching
+    /// is off).
+    fn host_binding(port: u32, ip: Ipv4Addr, spec: &HostSpec) -> Binding {
+        Binding {
+            ip,
+            mac: spec.mac.unwrap_or(MacAddr::ZERO),
+            dpid: 0,
+            port,
+            source: spec.source,
+            expires: spec.expires,
         }
     }
 
-    fn delete_for(&self, port: u32, id: &RuleId, old: &RuleSpec) -> FlowMod {
-        match (id, old) {
-            (RuleId::Host(ip), RuleSpec::Host { mac, .. }) => {
-                // Only the match fields matter to a strict delete; the rest
-                // of the binding is a placeholder (and the MAC too, when
-                // MAC matching is off).
-                let ghost = Binding {
-                    ip: *ip,
-                    mac: mac.unwrap_or(MacAddr::ZERO),
-                    dpid: 0,
-                    port,
-                    source: BindingSource::Fcfs,
-                    expires: None,
-                };
-                let mut fm = rules::binding_delete(&ghost, self.match_mac);
-                fm.cookie = rules::allow_cookie(&ghost);
-                fm
+    /// The per-host allow with lifecycle timeouts: static never expires,
+    /// DHCP carries the remaining lease as a hard timeout, FCFS idles out.
+    fn host_add(&self, port: u32, ip: Ipv4Addr, spec: &HostSpec, now: SimTime) -> FlowMod {
+        let (idle, hard) = match spec.source {
+            BindingSource::Static => (0, 0),
+            BindingSource::Dhcp => {
+                let remaining = spec
+                    .expires
+                    .map(|t| t.saturating_since(now).as_secs_f64().ceil() as u64)
+                    .unwrap_or(0);
+                (0, remaining.min(u64::from(u16::MAX)) as u16)
             }
-            (RuleId::Cover(c), _) => rules::cover_delete(port, *c),
-            (RuleId::Host(_), RuleSpec::Cover) => unreachable!("host id never holds a cover spec"),
-        }
+            BindingSource::Fcfs => (self.dynamic_idle_timeout, 0),
+        };
+        let b = Self::host_binding(port, ip, spec);
+        rules::binding_allow(&b, self.match_mac, idle, hard)
+    }
+
+    fn host_delete(&self, port: u32, ip: Ipv4Addr, old: &HostSpec) -> FlowMod {
+        rules::binding_delete(&Self::host_binding(port, ip, old), self.match_mac)
     }
 
     /// Diff one port's desired rules against the cache and emit the delta.
@@ -305,35 +370,33 @@ impl RuleCompiler {
         let Some(state) = self.ports.get(&(dpid, port)) else {
             return Vec::new();
         };
-        let desired = desired_specs(&state.bindings, self.budget, self.match_mac);
+        let desired = desired_specs(&state.bindings, &self.policy, self.match_mac);
+        let have = &state.installed;
         let mut adds = Vec::new();
         let mut dels = Vec::new();
-        for (id, spec) in &desired {
-            match state.installed.get(id) {
-                Some(old) if old == spec => {}
-                Some(old) => {
-                    // Same identity, new shape. A MAC change under eth_src
-                    // matching alters the *match*, so the old rule must be
-                    // strict-deleted; lease/source changes keep the match,
-                    // and the Add alone replaces the entry (resetting its
-                    // timers, which is exactly what a renewed lease wants).
-                    if let (RuleId::Host(_), RuleSpec::Host { mac: old_mac, .. }) = (id, old) {
-                        let RuleSpec::Host { mac, .. } = spec else {
-                            unreachable!("host id never holds a cover spec");
-                        };
-                        if old_mac != mac {
-                            dels.push(self.delete_for(port, id, old));
-                        }
-                    }
-                    adds.push(self.add_for(state, port, id, now));
-                }
-                None => adds.push(self.add_for(state, port, id, now)),
+        for (ip, spec) in &desired.hosts {
+            match have.hosts.get(ip) {
+                Some(old) if old == spec => continue,
+                // Same identity, new shape. A MAC change under eth_src
+                // matching alters the *match*, so the old rule must be
+                // strict-deleted; lease/source changes keep the match, and
+                // the Add alone replaces the entry (resetting its timers,
+                // which is exactly what a renewed lease wants).
+                Some(old) if old.mac != spec.mac => dels.push(self.host_delete(port, *ip, old)),
+                _ => {}
+            }
+            adds.push(self.host_add(port, *ip, spec, now));
+        }
+        for c in desired.covers.difference(&have.covers) {
+            adds.push(rules::cover_allow(port, *c));
+        }
+        for (ip, old) in &have.hosts {
+            if !desired.hosts.contains_key(ip) {
+                dels.push(self.host_delete(port, *ip, old));
             }
         }
-        for (id, old) in &state.installed {
-            if !desired.contains_key(id) {
-                dels.push(self.delete_for(port, id, old));
-            }
+        for c in have.covers.difference(&desired.covers) {
+            dels.push(rules::cover_delete(port, *c));
         }
         // Adds before deletes: a host→cover or cover→host transition never
         // opens a window in which a bound source has no matching rule.
@@ -344,7 +407,7 @@ impl RuleCompiler {
             .get_mut(&(dpid, port))
             .expect("port state exists");
         state.installed = desired;
-        if state.bindings.is_empty() && state.installed.is_empty() {
+        if state.bindings.is_empty() {
             self.ports.remove(&(dpid, port));
         }
         out
@@ -490,5 +553,70 @@ mod tests {
         assert_eq!(c.installed_on(1), 1, "two hosts over budget → one /31");
         // Syncing right after priming finds nothing to do.
         assert!(c.sync_switch(1, SimTime::ZERO).is_empty());
+    }
+
+    #[test]
+    fn subnet_policy_holds_one_prefix_per_bound_subnet() {
+        let plan = vec![
+            "10.0.0.0/24".parse().unwrap(),
+            "10.0.1.0/24".parse().unwrap(),
+        ];
+        let mut c = RuleCompiler::with_policy(true, 60, CoverPolicy::Subnet(plan));
+        let d = c.bind(&b("10.0.0.10", 1, 7), SimTime::ZERO);
+        assert_eq!((adds(&d), dels(&d)), (1, 0));
+        assert_eq!(d[0], rules::cover_allow(7, "10.0.0.0/24".parse().unwrap()));
+        // A second host under the same subnet is already admitted.
+        assert!(c.bind(&b("10.0.0.11", 2, 7), SimTime::ZERO).is_empty());
+        // A second subnet on the same (shared) port gets its own prefix,
+        // and an address outside the plan an exact /32.
+        let d = c.bind(&b("10.0.1.10", 3, 7), SimTime::ZERO);
+        assert_eq!(
+            d,
+            vec![rules::cover_allow(7, "10.0.1.0/24".parse().unwrap())]
+        );
+        let d = c.bind(&b("192.0.2.1", 4, 7), SimTime::ZERO);
+        assert_eq!(
+            d,
+            vec![rules::cover_allow(7, "192.0.2.1/32".parse().unwrap())]
+        );
+        assert_eq!(c.installed_on(1), 3);
+        // The prefix outlives all but the last binding under it.
+        assert!(c.unbind(&b("10.0.0.10", 1, 7), SimTime::ZERO).is_empty());
+        let d = c.unbind(&b("10.0.0.11", 2, 7), SimTime::ZERO);
+        assert_eq!(
+            d,
+            vec![rules::cover_delete(7, "10.0.0.0/24".parse().unwrap())]
+        );
+        assert_eq!(c.installed_on(1), 2);
+    }
+
+    #[test]
+    fn exact_policy_covers_from_the_first_binding_and_retires_the_last() {
+        // `aggregate_exact` is a budget of zero: never a host rule.
+        let mut c = RuleCompiler::new(true, 60, Some(0));
+        let d = c.bind(&b("10.0.0.4", 1, 7), SimTime::ZERO);
+        assert_eq!(
+            d,
+            vec![rules::cover_allow(7, "10.0.0.4/32".parse().unwrap())]
+        );
+        let d = c.bind(&b("10.0.0.5", 2, 7), SimTime::ZERO);
+        assert_eq!((adds(&d), dels(&d)), (1, 1), "/32 grows into the /31");
+        // A release inside the block splits it; the last one empties the port.
+        let d = c.unbind(&b("10.0.0.4", 1, 7), SimTime::ZERO);
+        assert_eq!(
+            d,
+            vec![
+                rules::cover_allow(7, "10.0.0.5/32".parse().unwrap()),
+                rules::cover_delete(7, "10.0.0.4/31".parse().unwrap()),
+            ]
+        );
+        let d = c.unbind(&b("10.0.0.5", 2, 7), SimTime::ZERO);
+        assert_eq!(
+            d,
+            vec![rules::cover_delete(7, "10.0.0.5/32".parse().unwrap())]
+        );
+        assert_eq!(c.installed_total(), 0);
+        assert!(c.emits_timerless_rules());
+        assert!(!RuleCompiler::new(true, 60, None).emits_timerless_rules());
     }
 }

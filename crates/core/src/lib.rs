@@ -29,10 +29,22 @@
 //! gratuitous-ARP tracking: the binding moves, the old rule is deleted,
 //! the new one installed.
 //!
-//! [`SavApp`] is the controller application; [`binding`] the table;
-//! [`rules`] the pure binding→FlowMod compiler (unit-testable without a
-//! controller); [`SavConfig`] selects modes (proactive/reactive,
-//! aggregation, iSAV/oSAV, MAC matching).
+//! ## One rule pipeline
+//!
+//! ```text
+//! bindings ──► cover policy ──► desired rule set ──► delta vs. installed
+//! ```
+//!
+//! [`binding`] is the table; [`compiler`] owns the single definition of
+//! "the rules a port should hold" — a pure function of the port's bindings
+//! and the cover policy [`SavConfig`] selects (per-host, TCAM-budgeted,
+//! exact-cover, subnet-prefix) — and the per-port cache that turns each
+//! binding change into a minimal flow-mod delta; [`aggregate`] computes
+//! the exact CIDR covers; [`rules`] renders each decision into a
+//! `FlowMod` (pure constructors, unit-testable without a controller).
+//! [`SavApp`] is the controller application feeding the pipeline from
+//! DHCP snooping, FCFS punts and ARP, and shipping its deltas — at
+//! switch-up as one batch, after a restart as a reconciliation diff.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,9 +1,9 @@
-//! The pure binding → OpenFlow rule compiler.
+//! Rule shapes: the pure constructors for every flow entry the SAV app
+//! installs — one binding or one cover prefix in, one `FlowMod` out.
 //!
-//! Kept free of controller state so the mapping the paper describes —
-//! "the controller translates each binding into a flow entry at the edge" —
-//! is a unit-testable function. The [`crate::SavApp`] calls these and ships
-//! the results.
+//! Kept free of controller state so each shape is a unit-testable function.
+//! *Which* of these a port should hold is decided in [`crate::compiler`];
+//! this module only renders the decision.
 
 use crate::binding::Binding;
 use crate::{
@@ -59,45 +59,38 @@ pub fn binding_allow(
 pub fn binding_delete(b: &Binding, match_mac: bool) -> FlowMod {
     FlowMod {
         priority: PRIO_ALLOW,
+        cookie: allow_cookie(b),
         command: FlowModCommand::DeleteStrict,
         ..FlowMod::add(allow_match(b, match_mac))
     }
 }
 
-/// Aggregated allow: every source within `prefix` entering `port` passes.
-/// The coarse mode for ports that front an unmanaged downstream segment —
-/// fewer rules, but same-prefix spoofing on that port goes undetected.
-pub fn prefix_allow(port: u32, prefix: Ipv4Cidr) -> FlowMod {
-    FlowMod {
-        priority: PRIO_ALLOW,
-        cookie: SAV_COOKIE | 0x0000_ffff_0000_0000,
-        instructions: vec![Instruction::GotoTable(TABLE_FWD)],
-        ..FlowMod::add(
-            OxmMatch::new()
-                .with(OxmField::InPort(port))
-                .with(OxmField::EthType(0x0800))
-                .with(OxmField::Ipv4Src(prefix.network(), Some(prefix.netmask()))),
-        )
-    }
+/// `(in_port, ipv4_src ∈ prefix)` — the match of every prefix-granular rule.
+fn prefix_match(port: u32, prefix: Ipv4Cidr) -> OxmMatch {
+    OxmMatch::new()
+        .with(OxmField::InPort(port))
+        .with(OxmField::EthType(0x0800))
+        .with(OxmField::Ipv4Src(prefix.network(), Some(prefix.netmask())))
 }
 
-/// Cookie for a budgeted exact-cover rule: the `0xffff` kind (so
-/// binding-expiry logic and the stats poller's per-binding records ignore
-/// it, exactly like the legacy [`prefix_allow`] cookie) plus the cover's
+/// Cookie for a cover rule: the `0xffff` kind (so binding-expiry logic and
+/// the stats poller's per-binding records ignore it) plus the cover's
 /// network address in the low 32 bits for attribution. Disjoint covers
 /// have distinct networks, so every cover on a port gets a unique cookie.
 pub fn cover_cookie(prefix: Ipv4Cidr) -> u64 {
     SAV_COOKIE | 0x0000_ffff_0000_0000 | u64::from(u32::from(prefix.network()))
 }
 
-/// Budgeted exact-cover allow: like [`prefix_allow`] but with an
-/// attributable per-prefix cookie. No timeouts and no `SEND_FLOW_REM` —
-/// covered bindings expire under controller control (`SavApp::sweep_expired`),
-/// not switch timers, since one rule stands for many leases.
+/// Cover allow: every source within `prefix` entering `port` passes. No
+/// timeouts and no `SEND_FLOW_REM` — covered bindings expire under
+/// controller control (`SavApp::sweep_expired`), not switch timers, since
+/// one rule stands for many leases.
 pub fn cover_allow(port: u32, prefix: Ipv4Cidr) -> FlowMod {
     FlowMod {
+        priority: PRIO_ALLOW,
         cookie: cover_cookie(prefix),
-        ..prefix_allow(port, prefix)
+        instructions: vec![Instruction::GotoTable(TABLE_FWD)],
+        ..FlowMod::add(prefix_match(port, prefix))
     }
 }
 
@@ -107,12 +100,7 @@ pub fn cover_delete(port: u32, prefix: Ipv4Cidr) -> FlowMod {
         priority: PRIO_ALLOW,
         cookie: cover_cookie(prefix),
         command: FlowModCommand::DeleteStrict,
-        ..FlowMod::add(
-            OxmMatch::new()
-                .with(OxmField::InPort(port))
-                .with(OxmField::EthType(0x0800))
-                .with(OxmField::Ipv4Src(prefix.network(), Some(prefix.netmask()))),
-        )
+        ..FlowMod::add(prefix_match(port, prefix))
     }
 }
 
@@ -153,15 +141,7 @@ pub fn isav_deny(border_port: u32, internal: Ipv4Cidr) -> FlowMod {
         priority: PRIO_ISAV_DENY,
         cookie: SAV_COOKIE | 0x15a5,
         instructions: vec![],
-        ..FlowMod::add(
-            OxmMatch::new()
-                .with(OxmField::InPort(border_port))
-                .with(OxmField::EthType(0x0800))
-                .with(OxmField::Ipv4Src(
-                    internal.network(),
-                    Some(internal.netmask()),
-                )),
-        )
+        ..FlowMod::add(prefix_match(border_port, internal))
     }
 }
 
@@ -324,7 +304,7 @@ mod tests {
 
     #[test]
     fn prefix_allow_masks() {
-        let fm = prefix_allow(4, "10.0.1.0/24".parse().unwrap());
+        let fm = cover_allow(4, "10.0.1.0/24".parse().unwrap());
         assert!(fm.match_.validate_prerequisites().is_ok());
         let has_masked = fm.match_.fields().iter().any(|f| {
             matches!(f, OxmField::Ipv4Src(ip, Some(mask))

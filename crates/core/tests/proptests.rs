@@ -2,17 +2,18 @@
 //! precedence lattice) and the **differential compiler suite**: the
 //! incremental rule compiler must leave a switch holding exactly what a
 //! from-scratch wholesale compile of the final binding table produces, for
-//! any operation sequence and any TCAM budget.
+//! any operation sequence under every cover policy — per-host, TCAM-budgeted,
+//! exact-cover and subnet-prefix.
 
 use proptest::prelude::*;
 use sav_controller::app::{App, Ctx};
 use sav_core::binding::{Binding, BindingChange, BindingSource, BindingTable};
-use sav_core::compiler::compile_port;
-use sav_core::{SavApp, SavConfig};
+use sav_core::{RuleCompiler, SavApp, SavConfig};
 use sav_net::addr::MacAddr;
 use sav_openflow::messages::{FlowModCommand, Message, PortStatus, PortStatusReason};
 use sav_openflow::ports::{PortDesc, PortState};
 use sav_sim::SimTime;
+use sav_topo::{SwitchRole, Topology};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -194,7 +195,7 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Operations the incremental compiler must track: binding churn from every
-/// lifecycle path the app exposes, at any TCAM budget.
+/// lifecycle path the app exposes, under any cover policy.
 #[derive(Debug, Clone)]
 enum CompilerOp {
     /// DHCP ack / static seed / FCFS claim / migration — all land here.
@@ -240,10 +241,27 @@ fn fold_delta(table: &mut FlowTable, msgs: Vec<(u64, Message)>) {
     }
 }
 
+/// An address plan that splits [`arb_binding`]'s eight addresses three
+/// ways for the subnet policy: `.0–.3` and `.4–.5` fall in two different
+/// subnets, `.6–.7` in none.
+fn two_subnet_plan() -> Topology {
+    let mut t = Topology::new();
+    let s = t.add_switch("s1", SwitchRole::Edge, 0);
+    for (name, ip, subnet) in [
+        ("a", "10.0.0.1", "10.0.0.0/30"),
+        ("b", "10.0.0.4", "10.0.0.4/31"),
+    ] {
+        t.attach_host(name, s, ip.parse().unwrap(), subnet.parse().unwrap());
+    }
+    t
+}
+
 proptest! {
     /// **Differential property**: drive `SavApp` through an arbitrary
-    /// binding-churn sequence at an arbitrary TCAM budget, folding every
-    /// emitted flow-mod delta into a model switch table. The folded table
+    /// binding-churn sequence under an arbitrary cover policy — per-host,
+    /// budget 1/2/4/8, exact (budget 0, `aggregate_exact`) or subnet
+    /// (`aggregate`, over [`two_subnet_plan`]) — folding every emitted
+    /// flow-mod delta into a model switch table. The folded table
     /// must be semantically identical — same (match, priority, cookie)
     /// set — to a from-scratch wholesale compile of the final binding
     /// table. Also checks, in sequence, that a no-op refresh of every
@@ -251,18 +269,27 @@ proptest! {
     #[test]
     fn incremental_compiler_matches_wholesale(
         ops in proptest::collection::vec(arb_compiler_op(), 1..80),
-        budget_sel in 0usize..5,
+        policy_sel in 0usize..7,
     ) {
-        let budget = [None, Some(1), Some(2), Some(4), Some(8)][budget_sel];
-        let topo = Arc::new(sav_topo::generators::linear(2, 2));
+        let topo = Arc::new(two_subnet_plan());
+        let (tcam_budget, aggregate, aggregate_exact) = [
+            (None, false, false),
+            (Some(1), false, false),
+            (Some(2), false, false),
+            (Some(4), false, false),
+            (Some(8), false, false),
+            (None, true, true),
+            (None, true, false),
+        ][policy_sel];
         let config = SavConfig {
             static_plan: false,
             dhcp_snooping: false,
-            tcam_budget: budget,
+            tcam_budget,
+            aggregate,
+            aggregate_exact,
             ..SavConfig::default()
         };
-        let match_mac = config.match_mac;
-        let idle = config.dynamic_idle_timeout;
+        let reference = RuleCompiler::for_config(&config, &topo);
         let mut app = SavApp::new(topo, config);
         let mut table = FlowTable::new();
         let mut now = SimTime::ZERO;
@@ -321,7 +348,7 @@ proptest! {
         }
         let mut expected = FlowTable::new();
         for ((dpid, _port), bs) in &by_port {
-            for fm in compile_port(bs, match_mac, idle, budget, now) {
+            for fm in reference.compile_port(bs, now) {
                 expected.insert((*dpid, fm.priority, format!("{:?}", fm.match_)), fm.cookie);
             }
         }

@@ -424,25 +424,87 @@ fn controller_restart_recovers_bindings_over_tcp() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Budgeted-aggregation regression for restart reconciliation: a port whose
-/// host rules were compressed into CIDR covers must survive a controller
-/// crash with **kept == everything, installed == 0, deleted == 0** — cover
-/// rules carry the SAV cookie tag and the recovered compiler recomputes the
-/// identical desired set. In-process (no TCP): the "switch" is a flow table
-/// folded from the flow-mods the first life actually emitted.
-#[test]
-fn budgeted_aggregation_survives_restart_reconciliation() {
+/// The in-process "switch" of the cover-restart tests: (priority, match) →
+/// the installed FlowMod, folded from the flow-mods an app actually emitted.
+type ModelTable = HashMap<(u16, String), sav_openflow::messages::FlowMod>;
+
+fn fold(table: &mut ModelTable, dpid: u64, msgs: Vec<(u64, sav_openflow::messages::Message)>) {
+    use sav_openflow::messages::{FlowModCommand, Message};
+    for (d, m) in msgs {
+        let Message::FlowMod(fm) = m else { continue };
+        assert_eq!(d, dpid);
+        let key = (fm.priority, format!("{:?}", fm.match_));
+        match fm.command {
+            FlowModCommand::Add => {
+                table.insert(key, fm);
+            }
+            FlowModCommand::DeleteStrict => {
+                table.remove(&key);
+            }
+            other => panic!("unexpected command {other:?}"),
+        }
+    }
+}
+
+/// Does any surviving allow — host or cover — admit `addr`?
+fn admits(table: &ModelTable, addr: &str) -> bool {
+    use sav_openflow::oxm::OxmField;
+    let addr = u32::from(addr.parse::<std::net::Ipv4Addr>().unwrap());
+    table.values().any(|fm| {
+        fm.match_.fields().iter().any(|f| match f {
+            OxmField::Ipv4Src(ip, Some(mask)) => {
+                u32::from(*ip) & u32::from(*mask) == addr & u32::from(*mask)
+            }
+            OxmField::Ipv4Src(ip, None) => u32::from(*ip) == addr,
+            _ => false,
+        })
+    })
+}
+
+/// A recovered (and primed) app with the model switch it reconciled against.
+struct Recovered {
+    app: sav_core::SavApp,
+    table: ModelTable,
+    dpid: u64,
+    dir: std::path::PathBuf,
+}
+
+impl Recovered {
+    /// Release `ip` and fold the resulting delta into the switch's table.
+    fn release(&mut self, ip: &str) {
+        let mut ctx = sav_controller::app::Ctx::new(sav_sim::SimTime::from_secs(1));
+        assert!(self
+            .app
+            .release_binding(&mut ctx, ip.parse().unwrap())
+            .is_some());
+        fold(&mut self.table, self.dpid, ctx.take());
+    }
+}
+
+/// Cover-rule regression for restart reconciliation, under any cover
+/// policy: six DHCP bindings on one port (`base`..`base + 5`) must compile
+/// to `want_covers` prefix rules and survive a controller crash with **kept
+/// == everything, installed == 0, deleted == 0** — cover rules carry the SAV
+/// cookie tag and the recovered compiler recomputes the identical desired
+/// set. In-process (no TCP). Returns the recovered (and primed) app with
+/// the switch's table for policy-specific follow-ups.
+fn covers_survive_restart(
+    tag: &str,
+    config: SavConfig,
+    base: u32,
+    want_covers: usize,
+) -> Recovered {
     use sav_controller::app::Ctx;
     use sav_core::{Binding, BindingSource};
     use sav_openflow::messages::{
-        FlowModCommand, FlowStatsEntry, Message, MultipartReplyBody, MultipartRequestBody,
+        FlowStatsEntry, Message, MultipartReplyBody, MultipartRequestBody,
     };
     use sav_openflow::oxm::OxmField;
     use sav_sim::SimTime;
     use std::net::Ipv4Addr;
 
     let dir = std::env::temp_dir().join(format!(
-        "sav-budgeted-restart-{}-{:?}",
+        "sav-{tag}-restart-{}-{:?}",
         std::process::id(),
         std::thread::current().id()
     ));
@@ -450,44 +512,21 @@ fn budgeted_aggregation_survives_restart_reconciliation() {
 
     let topo = Arc::new(generators::linear(2, 2));
     let dpid = topo.switches()[0].id.dpid();
-    let config = SavConfig {
-        static_plan: false,
-        tcam_budget: Some(4),
-        ..SavConfig::default()
-    };
 
     // ---- Life 1: empty store, then 6 DHCP bindings on one port. -------
     let store = BindingStore::open(&dir, StoreConfig::default()).unwrap();
     let mut app = sav_core::SavApp::with_store(topo.clone(), config.clone(), store);
-    // The model switch: (priority, match) → the installed FlowMod.
-    let mut table: HashMap<(u16, String), sav_openflow::messages::FlowMod> = HashMap::new();
-    let fold = |table: &mut HashMap<(u16, String), sav_openflow::messages::FlowMod>,
-                msgs: Vec<(u64, Message)>| {
-        for (d, m) in msgs {
-            let Message::FlowMod(fm) = m else { continue };
-            assert_eq!(d, dpid);
-            let key = (fm.priority, format!("{:?}", fm.match_));
-            match fm.command {
-                FlowModCommand::Add => {
-                    table.insert(key, fm);
-                }
-                FlowModCommand::DeleteStrict => {
-                    table.remove(&key);
-                }
-                other => panic!("unexpected command {other:?}"),
-            }
-        }
-    };
+    let mut table = ModelTable::new();
     let mut ctx = Ctx::new(SimTime::ZERO);
     app.on_switch_up(&mut ctx, dpid);
     drop(ctx.take()); // cookie-filtered stats request, no rules yet
     let mut ctx = Ctx::new(SimTime::ZERO);
     app.on_stats_reply(&mut ctx, dpid, &MultipartReplyBody::Flow(vec![]));
-    fold(&mut table, ctx.take());
+    fold(&mut table, dpid, ctx.take());
 
     for i in 0..6u32 {
         let b = Binding {
-            ip: Ipv4Addr::from(0x0a00_1400 + i),
+            ip: Ipv4Addr::from(base + i),
             mac: MacAddr::from_index(u64::from(i) + 1),
             dpid,
             port: 1,
@@ -496,10 +535,9 @@ fn budgeted_aggregation_survives_restart_reconciliation() {
         };
         let mut ctx = Ctx::new(SimTime::ZERO);
         app.upsert_binding(&mut ctx, b);
-        fold(&mut table, ctx.take());
+        fold(&mut table, dpid, ctx.take());
     }
-    // 6 > budget 4: the port's allows are covers (10.0.20.0/30 + /31),
-    // recognisable by their masked ipv4_src.
+    // The port's allows are covers, recognisable by their masked ipv4_src.
     let covers = table
         .values()
         .filter(|fm| {
@@ -511,10 +549,7 @@ fn budgeted_aggregation_survives_restart_reconciliation() {
                     .any(|f| matches!(f, OxmField::Ipv4Src(_, Some(_))))
         })
         .count();
-    assert_eq!(
-        covers, 2,
-        "six hosts over budget four compress to two covers"
-    );
+    assert_eq!(covers, want_covers, "{tag}: covers for six hosts");
     let n_rules = table.len();
     drop(app); // crash: nothing beyond the per-append WAL fsyncs
 
@@ -560,33 +595,74 @@ fn budgeted_aggregation_survives_restart_reconciliation() {
     assert_eq!(counters.get("reconciled_kept"), n_rules as u64);
     assert_eq!(counters.get("reconciled_installed"), 0);
     assert_eq!(counters.get("reconciled_deleted"), 0);
+    Recovered {
+        app,
+        table,
+        dpid,
+        dir,
+    }
+}
 
-    // The recovered compiler is primed: releasing an address inside a cover
-    // splits it, proving incremental compilation works after the restart.
-    let before = app.compiled_rule_count();
-    let mut ctx = Ctx::new(SimTime::from_secs(1));
-    assert!(app
-        .release_binding(&mut ctx, "10.0.20.2".parse().unwrap())
-        .is_some());
-    fold(&mut table, ctx.take());
+/// The recovered compiler is primed: releasing an address inside an exact
+/// cover splits it, proving incremental compilation works after the
+/// restart.
+fn release_splits_the_recovered_cover(mut r: Recovered) {
+    let before = r.app.compiled_rule_count();
+    r.release("10.0.20.2");
     assert!(
-        app.compiled_rule_count() > before,
+        r.app.compiled_rule_count() > before,
         "cover split into fragments"
     );
-    // No surviving allow — host or cover — admits the released address.
-    let released = u32::from("10.0.20.2".parse::<Ipv4Addr>().unwrap());
     assert!(
-        !table.values().any(|fm| fm.match_.fields().iter().any(|f| {
-            match f {
-                OxmField::Ipv4Src(ip, Some(mask)) => {
-                    u32::from(*ip) & u32::from(*mask) == released & u32::from(*mask)
-                }
-                OxmField::Ipv4Src(ip, None) => u32::from(*ip) == released,
-                _ => false,
-            }
-        })),
+        !admits(&r.table, "10.0.20.2"),
         "the released address must no longer be admitted by any rule"
     );
+    std::fs::remove_dir_all(&r.dir).unwrap();
+}
 
-    std::fs::remove_dir_all(&dir).unwrap();
+/// TCAM-budgeted: six hosts over budget four compress to two covers
+/// (10.0.20.0/30 + /31).
+#[test]
+fn budgeted_aggregation_survives_restart_reconciliation() {
+    let config = SavConfig {
+        static_plan: false,
+        tcam_budget: Some(4),
+        ..SavConfig::default()
+    };
+    release_splits_the_recovered_cover(covers_survive_restart("budgeted", config, 0x0a00_1400, 2));
+}
+
+/// Exact aggregation is the same compile at budget zero — and, now that
+/// it runs through the compiler, reconciles instead of blind-re-pushing.
+#[test]
+fn exact_aggregation_survives_restart_reconciliation() {
+    let config = SavConfig {
+        static_plan: false,
+        aggregate: true,
+        aggregate_exact: true,
+        ..SavConfig::default()
+    };
+    release_splits_the_recovered_cover(covers_survive_restart("exact-agg", config, 0x0a00_1400, 2));
+}
+
+/// Subnet aggregation: six hosts inside 10.0.0.0/24 share one prefix rule,
+/// which the recovered compiler keeps until the last of them is released.
+#[test]
+fn subnet_aggregation_survives_restart_reconciliation() {
+    let config = SavConfig {
+        static_plan: false,
+        aggregate: true,
+        ..SavConfig::default()
+    };
+    let mut r = covers_survive_restart("aggregated", config, 0x0a00_0014, 1);
+    for i in 20..26 {
+        assert!(admits(&r.table, "10.0.0.20"), "prefix outlives release {i}");
+        r.release(&format!("10.0.0.{i}"));
+    }
+    assert!(
+        !admits(&r.table, "10.0.0.20"),
+        "emptied port keeps no prefix"
+    );
+    assert_eq!(r.app.compiled_rule_count(), 0);
+    std::fs::remove_dir_all(&r.dir).unwrap();
 }
