@@ -504,23 +504,21 @@ fn main() {
 
     let current = sb_metrics(&points);
     let path = results_dir().join("trajectory.json");
-    let mut trajectory = Trajectory::load(&path);
     if check {
-        let regressions = trajectory.regressions(&current);
-        if regressions.is_empty() {
-            println!("[southbound trajectory gate passed]");
-        } else {
+        if let Err(failures) = Trajectory::check(&path, &current) {
             eprintln!("southbound trajectory gate FAILED:");
-            for r in &regressions {
-                eprintln!("  {r}");
+            for f in &failures {
+                eprintln!("  {f}");
             }
             std::process::exit(1);
         }
+        println!("[southbound trajectory gate passed]");
         return;
     }
 
     write_result("fig_c10k.csv", &table.to_csv());
     write_json("fig_c10k", &table);
+    let mut trajectory = Trajectory::load(&path);
     // The southbound row: merge new sb_* metrics into the baseline (new
     // metrics have no baseline to regress from — this sets one) and
     // append the run.

@@ -4,28 +4,20 @@
 //!
 //! * `rules_per_sec` / `mods_per_op` — incremental compiler throughput and
 //!   steady-state churn delta (fig1b's n=2048 cell, budget ∞);
-//! * `tte_p50_ms` / `tte_p99_ms` — causal time-to-enforcement quantiles
-//!   from live DORA exchanges: packet-in → WAL fsync → compile → send →
-//!   barrier ack, measured by the sav-obs trace pipeline itself;
 //! * `takeover_ms` — cold standby promotion: WAL replay + hydration +
 //!   full rule install for a 4096-binding table.
 //!
 //! `TRAJECTORY_CHECK=1` runs the *same* measurement (identical sizes, so
 //! deterministic metrics stay comparable) and fails when any metric moved
-//! more than 20% in its bad direction vs the committed baseline (the tte
-//! quantiles also carry an absolute noise floor — see
-//! `trajectory::noise_floor`), writing nothing. Without it, the run is
+//! more than 20% in its bad direction vs the committed baseline, or when
+//! that baseline cannot be read, writing nothing. Without it, the run is
 //! appended and the file saved — commit the diff to extend the trajectory.
 
-use sav_baselines::Mechanism;
-use sav_bench::{results_dir, ScenarioOpts, Trajectory};
+use sav_bench::{results_dir, Trajectory};
 use sav_controller::app::Ctx;
-use sav_controller::testbed::TestbedCmd;
 use sav_controller::App;
 use sav_core::{Binding, BindingSource, SavApp, SavConfig};
-use sav_dataplane::host::{DhcpServerState, HostApp};
-use sav_net::addr::{Ipv4Cidr, MacAddr};
-use sav_obs::Obs;
+use sav_net::addr::MacAddr;
 use sav_openflow::messages::{Message, MultipartReplyBody};
 use sav_sim::SimTime;
 use sav_store::{BindingRecord, BindingStore, RecordSource, StoreConfig, WalOp};
@@ -39,8 +31,6 @@ use std::time::Instant;
 const COMPILE_BINDINGS: usize = 2048;
 const COMPILE_PORTS: u32 = 4;
 const CHURN_OPS: usize = 64;
-/// DORA exchanges feeding the time-to-enforcement quantiles.
-const DORA_CLIENTS: usize = 64;
 /// Recovered table size for the takeover measurement.
 const TAKEOVER_BINDINGS: u32 = 4096;
 
@@ -107,62 +97,6 @@ fn measure_compiler() -> (f64, f64) {
     }
     let mods_per_op = churn_mods as f64 / (CHURN_OPS as f64 * 2.0);
     (rules_per_sec, mods_per_op)
-}
-
-/// Time-to-enforcement: run real DORA exchanges through the testbed with
-/// tracing on and read the quantiles the causal trace pipeline recorded.
-/// Wall-clock per trace spans packet-in → barrier ack, i.e. exactly the
-/// controller work the headline histogram is defined over.
-fn measure_tte() -> (f64, f64) {
-    let topo = Arc::new(topogen::linear(1, DORA_CLIENTS as u32 + 1));
-    let pool: Ipv4Cidr = "10.200.0.0/16".parse().unwrap();
-    let server_node = &topo.hosts()[0];
-    let trusted = (server_node.switch.dpid(), server_node.port);
-    let mut opts = ScenarioOpts {
-        seed_arp: false,
-        sav_overrides: Box::new(move |cfg| {
-            cfg.static_plan = false;
-            cfg.trusted_dhcp_ports = vec![trusted];
-        }),
-        ..Default::default()
-    };
-    opts.host_app = Box::new(move |h| {
-        if h.id.0 == 0 {
-            HostApp::DhcpServer(DhcpServerState::new(pool, 100, 3600))
-        } else {
-            HostApp::Sink
-        }
-    });
-
-    let obs = Obs::with_tracing();
-    let mut tb = sav_bench::scenario::build_testbed(&topo, Mechanism::SdnSav, opts);
-    tb.controller_mut().set_obs(obs.clone());
-    tb.controller_mut()
-        .with_app::<SavApp, _>(|a| a.set_obs(obs.clone()))
-        .expect("SdnSav testbed has a SavApp");
-    tb.connect_control_plane();
-    tb.run_until(SimTime::from_millis(100));
-
-    for i in 1..=DORA_CLIENTS {
-        tb.schedule(
-            SimTime::from_millis(200 + 50 * i as u64),
-            TestbedCmd::DhcpDiscover { host: i },
-        );
-    }
-    tb.run_until(SimTime::from_secs(60));
-
-    let completed = obs.traces.completed();
-    assert!(
-        completed >= DORA_CLIENTS as u64,
-        "every DORA exchange must complete a causal trace \
-         ({completed}/{DORA_CLIENTS} completed, {} abandoned)",
-        obs.traces.abandoned()
-    );
-    let h = obs
-        .tracer
-        .histogram("time_to_enforcement")
-        .expect("tracing enabled: tte histogram exists");
-    (h.quantile(0.5) * 1e3, h.quantile(0.99) * 1e3)
 }
 
 /// Cold takeover: WAL replay + binding hydration + full rule install for
@@ -246,15 +180,11 @@ fn main() {
     // mods_per_op is deterministic (same compiler, same inputs); the
     // throughput half keeps the fastest repetition.
     let (rules_per_sec, mods_per_op) = best_of(measure_compiler, |a, b| a.0 > b.0);
-    // Latency quantiles keep the quietest repetition, ranked by the p99.
-    let (tte_p50_ms, tte_p99_ms) = best_of(measure_tte, |a, b| a.1 < b.1);
     let takeover_ms = best_of(measure_takeover, |a, b| a < b);
 
     let current: sav_bench::Metrics = [
         ("rules_per_sec".to_string(), rules_per_sec),
         ("mods_per_op".to_string(), mods_per_op),
-        ("tte_p50_ms".to_string(), tte_p50_ms),
-        ("tte_p99_ms".to_string(), tte_p99_ms),
         ("takeover_ms".to_string(), takeover_ms),
     ]
     .into_iter()
@@ -264,23 +194,17 @@ fn main() {
     }
 
     let path = results_dir().join("trajectory.json");
-    let mut trajectory = Trajectory::load(&path);
     if check {
-        if trajectory.baseline.is_none() {
-            println!("\n[no baseline committed; skipping trajectory gate]");
-            return;
-        }
-        let regressions = trajectory.regressions(&current);
-        if regressions.is_empty() {
-            println!("\n[trajectory gate passed vs committed baseline]");
-        } else {
+        if let Err(failures) = Trajectory::check(&path, &current) {
             eprintln!("\ntrajectory gate FAILED:");
-            for r in &regressions {
-                eprintln!("  {r}");
+            for f in &failures {
+                eprintln!("  {f}");
             }
             std::process::exit(1);
         }
+        println!("\n[trajectory gate passed vs committed baseline]");
     } else {
+        let mut trajectory = Trajectory::load(&path);
         trajectory.append_run(current);
         trajectory.save(&path).expect("write trajectory.json");
         println!("\n[saved {} — commit the diff]", path.display());

@@ -26,21 +26,15 @@ fn higher_is_better(name: &str) -> bool {
 }
 
 /// Absolute slack a metric must also exceed before it counts as
-/// regressed. Sub-0.1 ms quantiles jitter well past 20% run-to-run on
-/// shared hardware, so the time-to-enforcement gates only fire on a
-/// millisecond-scale move — the size a real regression (an added fsync
-/// or sleep in the trace path) actually is. Everything else gates on the
-/// relative tolerance alone.
+/// regressed. Southbound loopback RTT/handshake quantiles (`sb_*_ms_*`
+/// from the fig_c10k bench) are scheduling-noise-dominated on shared
+/// single-core runners: only a multi-millisecond move is a real
+/// regression. Everything else gates on the relative tolerance alone.
 fn noise_floor(name: &str) -> f64 {
-    // Southbound loopback RTT/handshake quantiles (`sb_*_ms_*` from the
-    // fig_c10k bench) are scheduling-noise-dominated on shared single-core
-    // runners: only a multi-millisecond move is a real regression.
     if name.starts_with("sb_") && name.contains("_ms") {
-        return 5.0;
-    }
-    match name {
-        "tte_p50_ms" | "tte_p99_ms" => 0.25,
-        _ => 0.0,
+        5.0
+    } else {
+        0.0
     }
 }
 
@@ -61,6 +55,25 @@ impl Trajectory {
         match std::fs::read_to_string(path) {
             Ok(text) => parse(&text).unwrap_or_default(),
             Err(_) => Trajectory::default(),
+        }
+    }
+
+    /// The check-mode gate: compare `current` against the baseline
+    /// committed at `path`. `Err` lists every failure — each regressed
+    /// metric, or why the baseline could not be read. Unlike
+    /// [`Trajectory::load`], a missing or corrupt file fails the gate: a
+    /// gate that cannot read its baseline must not pass.
+    pub fn check(path: &Path, current: &Metrics) -> Result<(), Vec<String>> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| vec![format!("cannot read {}: {e}", path.display())])?;
+        let trajectory = parse(&text)
+            .filter(|t| t.baseline.is_some())
+            .ok_or_else(|| vec![format!("{} holds no parseable baseline", path.display())])?;
+        let regressions = trajectory.regressions(current);
+        if regressions.is_empty() {
+            Ok(())
+        } else {
+            Err(regressions)
         }
     }
 
@@ -211,9 +224,12 @@ mod tests {
         let mut t = Trajectory::default();
         t.append_run(metrics(&[
             ("rules_per_sec", 120000.5),
-            ("tte_p50_ms", 1.25),
+            ("takeover_ms", 1.25),
         ]));
-        t.append_run(metrics(&[("rules_per_sec", 130000.0), ("tte_p50_ms", 1.1)]));
+        t.append_run(metrics(&[
+            ("rules_per_sec", 130000.0),
+            ("takeover_ms", 1.1),
+        ]));
         assert_eq!(t.baseline, Some(t.runs[0].clone()));
         let parsed = parse(&t.to_json()).expect("own output parses");
         assert_eq!(parsed, t);
@@ -226,24 +242,24 @@ mod tests {
     #[test]
     fn gate_is_direction_aware() {
         let mut t = Trajectory::default();
-        t.append_run(metrics(&[("rules_per_sec", 100.0), ("tte_p99_ms", 10.0)]));
+        t.append_run(metrics(&[("rules_per_sec", 100.0), ("takeover_ms", 10.0)]));
 
         // Within tolerance in both directions: clean.
-        let ok = metrics(&[("rules_per_sec", 85.0), ("tte_p99_ms", 11.5)]);
+        let ok = metrics(&[("rules_per_sec", 85.0), ("takeover_ms", 11.5)]);
         assert!(t.regressions(&ok).is_empty());
 
         // Throughput regresses by FALLING...
-        let slow = metrics(&[("rules_per_sec", 70.0), ("tte_p99_ms", 10.0)]);
+        let slow = metrics(&[("rules_per_sec", 70.0), ("takeover_ms", 10.0)]);
         let regs = t.regressions(&slow);
         assert_eq!(regs.len(), 1, "{regs:?}");
         assert!(regs[0].starts_with("rules_per_sec"));
 
         // ...latency regresses by RISING, and improving (falling) is fine.
-        let laggy = metrics(&[("rules_per_sec", 200.0), ("tte_p99_ms", 13.0)]);
+        let laggy = metrics(&[("rules_per_sec", 200.0), ("takeover_ms", 13.0)]);
         let regs = t.regressions(&laggy);
         assert_eq!(regs.len(), 1, "{regs:?}");
-        assert!(regs[0].starts_with("tte_p99_ms"));
-        let better = metrics(&[("rules_per_sec", 100.0), ("tte_p99_ms", 2.0)]);
+        assert!(regs[0].starts_with("takeover_ms"));
+        let better = metrics(&[("rules_per_sec", 100.0), ("takeover_ms", 2.0)]);
         assert!(t.regressions(&better).is_empty());
 
         // No baseline (fresh repo): everything passes.
@@ -253,22 +269,25 @@ mod tests {
     #[test]
     fn microsecond_latency_jitter_stays_under_the_noise_floor() {
         let mut t = Trajectory::default();
-        t.append_run(metrics(&[("tte_p99_ms", 0.022), ("takeover_ms", 4.0)]));
+        t.append_run(metrics(&[
+            ("sb_echo_p99_ms_256", 1.0),
+            ("takeover_ms", 4.0),
+        ]));
 
-        // +40% but a ~9 µs absolute move: scheduler jitter, not a
-        // regression the gate should flap on.
-        let jitter = metrics(&[("tte_p99_ms", 0.031), ("takeover_ms", 4.0)]);
+        // +80% but a sub-millisecond absolute move: scheduler jitter on a
+        // loopback RTT, not a regression the gate should flap on.
+        let jitter = metrics(&[("sb_echo_p99_ms_256", 1.8), ("takeover_ms", 4.0)]);
         assert!(t.regressions(&jitter).is_empty());
 
-        // A millisecond-scale move (an fsync landed in the trace path)
-        // clears both the relative tolerance and the floor.
-        let real = metrics(&[("tte_p99_ms", 1.5), ("takeover_ms", 4.0)]);
+        // A multi-millisecond move clears both the relative tolerance and
+        // the floor.
+        let real = metrics(&[("sb_echo_p99_ms_256", 7.5), ("takeover_ms", 4.0)]);
         let regs = t.regressions(&real);
         assert_eq!(regs.len(), 1, "{regs:?}");
-        assert!(regs[0].starts_with("tte_p99_ms"));
+        assert!(regs[0].starts_with("sb_echo_p99_ms_256"));
 
         // Metrics without a floor still gate on relative tolerance alone.
-        let slow = metrics(&[("tte_p99_ms", 0.022), ("takeover_ms", 5.5)]);
+        let slow = metrics(&[("sb_echo_p99_ms_256", 1.0), ("takeover_ms", 5.5)]);
         let regs = t.regressions(&slow);
         assert_eq!(regs.len(), 1, "{regs:?}");
         assert!(regs[0].starts_with("takeover_ms"));
@@ -282,5 +301,36 @@ mod tests {
             Trajectory::load(&dir.join("missing.json")),
             Trajectory::default()
         );
+    }
+
+    #[test]
+    fn check_fails_on_a_missing_or_corrupt_baseline() {
+        let dir = std::env::temp_dir().join(format!("sav-traj-check-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let current = metrics(&[("takeover_ms", 4.0)]);
+
+        let missing = Trajectory::check(&dir.join("missing.json"), &current).unwrap_err();
+        assert!(missing[0].starts_with("cannot read"), "{missing:?}");
+
+        let corrupt = dir.join("corrupt.json");
+        std::fs::write(&corrupt, "{\"baseline\": [broken").unwrap();
+        let failures = Trajectory::check(&corrupt, &current).unwrap_err();
+        assert!(
+            failures[0].ends_with("holds no parseable baseline"),
+            "{failures:?}"
+        );
+
+        // A well-formed file with no baseline has nothing to gate against.
+        let empty = dir.join("empty.json");
+        Trajectory::default().save(&empty).unwrap();
+        assert!(Trajectory::check(&empty, &current).is_err());
+
+        // Only a readable baseline with no regressions passes.
+        let good = dir.join("good.json");
+        let mut t = Trajectory::default();
+        t.append_run(current.clone());
+        t.save(&good).unwrap();
+        assert_eq!(Trajectory::check(&good, &current), Ok(()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -11,16 +11,24 @@
 use crate::backoff::BackoffPolicy;
 use crate::fault::{FaultPlan, WriteDecision};
 use crate::metrics::ChannelMetrics;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sav_dataplane::switch::{OpenFlowSwitch, SwitchOutput};
 use sav_openflow::messages::ControllerRole;
 use sav_sim::SimTime;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Frames a switch's injector queue holds before it sheds. The loop drains
+/// the queue between socket reads, so a serving switch stays far below
+/// it; a switch that is dialing (not serving) stops draining, and this is
+/// how much ingress traffic it buffers for its reconnect. Past it,
+/// [`ClientHandle::inject`] and frames crossing a [`Link`] are dropped and
+/// counted in [`crate::ChannelStats::frames_dropped`].
+pub const INJECT_QUEUE_DEPTH: usize = 4096;
 
 /// Tuning for one switch's control channel.
 #[derive(Debug, Clone)]
@@ -49,7 +57,7 @@ pub struct Link {
     /// Egress port on this switch.
     pub local_port: u32,
     /// The peer switch's frame injector.
-    pub peer: Sender<(u32, Vec<u8>)>,
+    pub peer: SyncSender<(u32, Vec<u8>)>,
     /// Ingress port on the peer switch.
     pub peer_port: u32,
 }
@@ -58,15 +66,23 @@ pub struct Link {
 pub struct ClientHandle {
     stop: Arc<AtomicBool>,
     drop_now: Arc<AtomicBool>,
-    injector: Sender<(u32, Vec<u8>)>,
+    injector: SyncSender<(u32, Vec<u8>)>,
     metrics: ChannelMetrics,
     thread: Option<thread::JoinHandle<()>>,
 }
 
 impl ClientHandle {
-    /// Inject a data-plane frame as if it arrived on `port`.
-    pub fn injector(&self) -> Sender<(u32, Vec<u8>)> {
+    /// The frame injector: a frame sent on it arrives on the given port.
+    /// A plain `send` blocks while the queue is full.
+    pub fn injector(&self) -> SyncSender<(u32, Vec<u8>)> {
         self.injector.clone()
+    }
+
+    /// Inject a data-plane frame as if it arrived on `port`, without
+    /// blocking: past [`INJECT_QUEUE_DEPTH`] the frame is dropped and
+    /// counted. False = dropped.
+    pub fn inject(&self, port: u32, frame: Vec<u8>) -> bool {
+        shed_send(&self.injector, &self.metrics, (port, frame))
     }
 
     /// This connection's transport metrics.
@@ -131,7 +147,7 @@ pub fn spawn_multi(
     let stop = Arc::new(AtomicBool::new(false));
     let drop_now = Arc::new(AtomicBool::new(false));
     let metrics = ChannelMetrics::new();
-    let (inject_tx, inject_rx) = unbounded::<(u32, Vec<u8>)>();
+    let (inject_tx, inject_rx) = sync_channel::<(u32, Vec<u8>)>(INJECT_QUEUE_DEPTH);
     let thread = {
         let stop = stop.clone();
         let drop_now = drop_now.clone();
@@ -172,6 +188,20 @@ struct ClientLoop {
     drop_now: Arc<AtomicBool>,
     metrics: ChannelMetrics,
     started: Instant,
+}
+
+/// Queue `item` without blocking; a full queue drops it and counts the
+/// drop. False = dropped (a disconnected peer also counts as not sent,
+/// but is not a shed).
+fn shed_send<T>(tx: &SyncSender<T>, metrics: &ChannelMetrics, item: T) -> bool {
+    match tx.try_send(item) {
+        Ok(()) => true,
+        Err(TrySendError::Full(_)) => {
+            metrics.add_frames_dropped(1);
+            false
+        }
+        Err(TrySendError::Disconnected(_)) => false,
+    }
 }
 
 /// Why the per-connection serve loop ended.
@@ -312,7 +342,7 @@ impl ClientLoop {
         for (port, frame) in out.tx {
             match self.links.iter().find(|l| l.local_port == port) {
                 Some(link) => {
-                    let _ = link.peer.send((link.peer_port, frame));
+                    shed_send(&link.peer, &self.metrics, (link.peer_port, frame));
                 }
                 None => {
                     let _ = self.delivered.send((port, frame));
@@ -344,5 +374,22 @@ impl ClientLoop {
                 true
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shed_send_counts_only_full_queue_drops() {
+        let metrics = ChannelMetrics::new();
+        let (tx, rx) = sync_channel(1);
+        assert!(shed_send(&tx, &metrics, 1));
+        assert!(!shed_send(&tx, &metrics, 2), "full: shed");
+        assert_eq!(metrics.stats().frames_dropped, 1);
+        drop(rx);
+        assert!(!shed_send(&tx, &metrics, 3), "disconnected: not sent");
+        assert_eq!(metrics.stats().frames_dropped, 1, "but not a shed");
     }
 }

@@ -21,6 +21,8 @@ pub struct ChannelStats {
     pub reconnects: u64,
     /// Switches declared dead by the keepalive deadline (server side).
     pub dead_declared: u64,
+    /// Data-plane frames shed at a full injector queue (client side).
+    pub frames_dropped: u64,
 }
 
 /// Thread-shared metrics handle: counters plus an echo-RTT histogram.
@@ -78,6 +80,11 @@ impl ChannelMetrics {
     /// Record a keepalive-deadline death verdict.
     pub fn add_dead_declared(&self) {
         self.inner.lock().stats.dead_declared += 1;
+    }
+
+    /// Record data-plane frames shed at a full queue.
+    pub fn add_frames_dropped(&self, n: u64) {
+        self.inner.lock().stats.frames_dropped += n;
     }
 
     /// Record one echo round-trip time, in seconds.

@@ -27,8 +27,8 @@
 //! Failover therefore never *widens* filtering: a binding the old leader
 //! had not yet replicated fails closed (the host re-DHCPs), never open.
 //!
-//! Threading model matches `sav-channel`: `std::net` + OS threads +
-//! crossbeam channels, no async runtime, no new dependencies.
+//! Threading model matches `sav-channel`'s client: `std::net` + OS
+//! threads + `std::sync::mpsc` channels, no async runtime.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

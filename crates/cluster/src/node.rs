@@ -40,7 +40,6 @@
 
 use crate::election::{Election, Role, Transition};
 use crate::proto::{PeerDeframer, PeerMsg, PROTO_VERSION};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sav_channel::BackoffPolicy;
 use sav_obs::{EventKind, Obs, Severity};
 use sav_sim::{SimDuration, SimTime};
@@ -49,10 +48,21 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
+
+/// Events the embedder may leave unread before further ones are dropped
+/// (and counted in `sav_cluster_events_dropped_total`). Events are role
+/// transitions, a handful per failover, so only an embedder that stopped
+/// reading ever fills it.
+pub const EVENT_QUEUE_DEPTH: usize = 64;
+
+/// Pause after a failed peer `accept` (EMFILE, ECONNABORTED, …) before
+/// the listener tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
 /// Tuning for one replication-group member.
 #[derive(Clone)]
@@ -122,13 +132,40 @@ pub enum ClusterEvent {
 }
 
 /// One live peer link as the core sees it.
+#[derive(Clone)]
 struct LinkHandle {
     /// Epoch of the serving `link_loop` (guards stale deregistration).
     epoch: u64,
-    /// Encoded-frame outbox drained by the link thread.
+    /// Encoded-frame outbox drained by the link thread. The channel itself
+    /// is unbounded — the link thread queues catch-up frames into its own
+    /// outbox while holding the core lock, so a blocking send could
+    /// deadlock — and `depth` bounds it instead.
     tx: Sender<Vec<u8>>,
+    /// Frames queued and not yet drained; [`Core::fanout`] evicts the link
+    /// once it passes [`Core::outbox_limit`].
+    depth: Arc<AtomicUsize>,
     /// Set by the core to tell the link thread to die (outbox overflow).
     evicted: Arc<AtomicBool>,
+}
+
+impl LinkHandle {
+    /// Queue one encoded frame for the link thread. `depth` rises before
+    /// the frame becomes visible, so the drain never takes it below zero.
+    fn send(&self, frame: Vec<u8>) {
+        self.depth.fetch_add(1, Ordering::Relaxed);
+        if self.tx.send(frame).is_err() {
+            self.depth.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Queue an event for the embedder without blocking (callers hold the
+/// core lock); past [`EVENT_QUEUE_DEPTH`] unread events it is dropped and
+/// counted.
+fn send_event(events: &SyncSender<ClusterEvent>, obs: &Obs, event: ClusterEvent) {
+    if let Err(TrySendError::Full(_)) = events.try_send(event) {
+        obs.counters.incr("sav_cluster_events_dropped_total");
+    }
 }
 
 /// Follower-side in-flight image transfer.
@@ -150,7 +187,7 @@ struct Core {
     started: Instant,
     election: Election,
     obs: Obs,
-    events: Sender<ClusterEvent>,
+    events: SyncSender<ClusterEvent>,
     /// The durable replica; `None` after the embedder took it on
     /// promotion (the live image below remains authoritative for serving
     /// followers).
@@ -225,11 +262,11 @@ impl Core {
         let limit = self.outbox_limit();
         let mut evict = Vec::new();
         for (&id, link) in &self.links {
-            if link.tx.len() > limit {
+            if link.depth.load(Ordering::Relaxed) > limit {
                 link.evicted.store(true, Ordering::Relaxed);
                 evict.push(id);
             } else {
-                let _ = link.tx.send(bytes.clone());
+                link.send(bytes.clone());
             }
         }
         for id in evict {
@@ -277,7 +314,7 @@ impl Core {
     /// length). An unstamped prefix (`peer_gen == 0`) is only trusted
     /// when empty. Everything else — lagged past the window, ahead of
     /// us, or on a diverged fork — gets a truncating image transfer.
-    fn serve_catchup(&mut self, have_seq: u64, peer_gen: u64, out: &Sender<Vec<u8>>) {
+    fn serve_catchup(&mut self, have_seq: u64, peer_gen: u64, out: &LinkHandle) {
         let Some(my_gen) = self.election.generation() else {
             return;
         };
@@ -292,7 +329,7 @@ impl Core {
             || (peer_gen == my_gen && have_seq <= self.seq)
             || (peer_gen == self.prev_gen && peer_gen > 0 && have_seq <= self.claim_seq);
         if vetted && have_seq >= window_base {
-            let _ = out.send(
+            out.send(
                 PeerMsg::TailBegin {
                     gen: my_gen,
                     from_seq: have_seq,
@@ -300,7 +337,7 @@ impl Core {
                 .encode(),
             );
             for (seq, gen, op) in self.retained.iter().filter(|(s, _, _)| *s >= have_seq) {
-                let _ = out.send(
+                out.send(
                     PeerMsg::WalRecord {
                         seq: *seq,
                         gen: *gen,
@@ -314,7 +351,7 @@ impl Core {
             // snapshot, then tail. Also the divergence healer — the
             // follower replaces its replica wholesale, truncating any
             // suffix a dead leader left orphaned.
-            let _ = out.send(
+            out.send(
                 PeerMsg::SnapshotBegin {
                     next_seq: self.seq,
                     gen: my_gen,
@@ -322,14 +359,14 @@ impl Core {
                 .encode(),
             );
             for rec in self.image.values() {
-                let _ = out.send(
+                out.send(
                     PeerMsg::SnapshotEntry {
                         op: WalOp::Upsert(*rec),
                     }
                     .encode(),
                 );
             }
-            let _ = out.send(PeerMsg::SnapshotEnd.encode());
+            out.send(PeerMsg::SnapshotEnd.encode());
         }
     }
 
@@ -422,7 +459,7 @@ impl Core {
     /// Handle one peer message arriving on the link with `epoch`, able to
     /// reply on `out`. Returns `false` if the link must be dropped
     /// (unauthorized or misaligned stream — reconnecting renegotiates).
-    fn handle_peer_msg(&mut self, msg: PeerMsg, epoch: u64, out: &Sender<Vec<u8>>) -> bool {
+    fn handle_peer_msg(&mut self, msg: PeerMsg, epoch: u64, out: &LinkHandle) -> bool {
         let now = self.now();
         match msg {
             PeerMsg::Hello { .. } => {} // handled at link setup
@@ -447,7 +484,7 @@ impl Core {
                     && now.saturating_since(self.last_catchup_req) > self.lease
                 {
                     self.last_catchup_req = now;
-                    let _ = out.send(
+                    out.send(
                         PeerMsg::CatchupRequest {
                             have_seq: self.seq,
                             applied_gen: self.applied_gen,
@@ -533,24 +570,29 @@ impl Core {
                     // Not the group's first election: this is a takeover.
                     self.takeover_started = Some(Instant::now());
                 }
-                let _ = self.events.send(ClusterEvent::BecameLeader { generation });
+                send_event(
+                    &self.events,
+                    &self.obs,
+                    ClusterEvent::BecameLeader { generation },
+                );
                 // Back-fill every registered standby now: on a quiet
                 // network (no fresh commits) a replica that linked up
                 // before we won would otherwise never catch up. A stale
                 // peer position is harmless — a misaligned TailBegin
                 // makes the follower reconnect and renegotiate.
-                let targets: Vec<(u64, Sender<Vec<u8>>)> = self
-                    .links
-                    .iter()
-                    .map(|(&id, l)| (id, l.tx.clone()))
-                    .collect();
-                for (id, tx) in targets {
+                let targets: Vec<(u64, LinkHandle)> =
+                    self.links.iter().map(|(&id, l)| (id, l.clone())).collect();
+                for (id, link) in targets {
                     let (have_seq, peer_gen) = self.peer_state.get(&id).copied().unwrap_or((0, 0));
-                    self.serve_catchup(have_seq, peer_gen, &tx);
+                    self.serve_catchup(have_seq, peer_gen, &link);
                 }
             }
             Transition::Deposed { by_generation } => {
-                let _ = self.events.send(ClusterEvent::Deposed { by_generation });
+                send_event(
+                    &self.events,
+                    &self.obs,
+                    ClusterEvent::Deposed { by_generation },
+                );
             }
             Transition::None => {}
         }
@@ -687,8 +729,16 @@ impl ClusterNode {
         listener.set_nonblocking(true)?;
         let started = Instant::now();
         let lease = SimDuration::from_nanos(config.lease.as_nanos() as u64);
-        let (events_tx, events_rx) = unbounded();
+        let (events_tx, events_rx) = sync_channel(EVENT_QUEUE_DEPTH);
         config.obs.counters.add("sav_failover_total", 0);
+        config
+            .obs
+            .counters
+            .add("sav_cluster_events_dropped_total", 0);
+        config
+            .obs
+            .counters
+            .add("sav_cluster_accept_errors_total", 0);
         let core = Arc::new(Mutex::new(Core {
             node_id: config.node_id,
             started,
@@ -724,6 +774,7 @@ impl ClusterNode {
             let core = core.clone();
             let stop = stop.clone();
             let epoch = epoch.clone();
+            let obs = config.obs.clone();
             threads.push(thread::spawn(move || {
                 while !stop.load(Ordering::Relaxed) {
                     match listener.accept() {
@@ -736,7 +787,18 @@ impl ClusterNode {
                         Err(e) if e.kind() == ErrorKind::WouldBlock => {
                             thread::sleep(Duration::from_millis(5));
                         }
-                        Err(_) => break,
+                        Err(e) => {
+                            // EMFILE, ECONNABORTED, and friends: never
+                            // abandon the listener. Count, journal, pause.
+                            obs.counters.incr("sav_cluster_accept_errors_total");
+                            obs.event(
+                                Severity::Error,
+                                EventKind::AcceptError {
+                                    error: e.to_string(),
+                                },
+                            );
+                            thread::sleep(ACCEPT_RETRY);
+                        }
                     }
                 }
             }));
@@ -810,8 +872,13 @@ fn link_loop(
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(5)));
     let my_epoch = epoch.fetch_add(1, Ordering::Relaxed) + 1;
-    let (out_tx, out_rx) = unbounded::<Vec<u8>>();
-    let evicted = Arc::new(AtomicBool::new(false));
+    let (out_tx, out_rx) = channel::<Vec<u8>>();
+    let link = LinkHandle {
+        epoch: my_epoch,
+        tx: out_tx,
+        depth: Arc::new(AtomicUsize::new(0)),
+        evicted: Arc::new(AtomicBool::new(false)),
+    };
 
     // Opener: who we are and where our replica ends.
     {
@@ -832,12 +899,13 @@ fn link_loop(
     let mut buf = [0u8; 8192];
     let mut peer_id: Option<u64> = None;
     loop {
-        if stop.load(Ordering::Relaxed) || evicted.load(Ordering::Relaxed) {
+        if stop.load(Ordering::Relaxed) || link.evicted.load(Ordering::Relaxed) {
             break;
         }
         // Outbound first: heartbeats, records, catch-up.
         let mut dead = false;
         while let Ok(frame) = out_rx.try_recv() {
+            link.depth.fetch_sub(1, Ordering::Relaxed);
             if stream.write_all(&frame).is_err() {
                 dead = true;
                 break;
@@ -865,21 +933,14 @@ fn link_loop(
                             }
                             peer_id = Some(node_id);
                             let mut c = core.lock().unwrap();
-                            c.links.insert(
-                                node_id,
-                                LinkHandle {
-                                    epoch: my_epoch,
-                                    tx: out_tx.clone(),
-                                    evicted: evicted.clone(),
-                                },
-                            );
+                            c.links.insert(node_id, link.clone());
                             c.peer_state.insert(node_id, (have_seq, applied_gen));
                             if c.election.role() == Role::Leader {
-                                c.serve_catchup(have_seq, applied_gen, &out_tx);
+                                c.serve_catchup(have_seq, applied_gen, &link);
                             }
                         }
                         Ok(Some(msg)) => {
-                            if !core.lock().unwrap().handle_peer_msg(msg, my_epoch, &out_tx) {
+                            if !core.lock().unwrap().handle_peer_msg(msg, my_epoch, &link) {
                                 let _ = stream.shutdown(Shutdown::Both);
                                 deregister(&core, peer_id, my_epoch, Some("stream_mismatch"));
                                 return;
@@ -1165,7 +1226,7 @@ mod tests {
     #[test]
     fn stalled_outbox_evicts_the_link() {
         let obs = Obs::new();
-        let (events_tx, _events_rx) = unbounded();
+        let (events_tx, _events_rx) = sync_channel(EVENT_QUEUE_DEPTH);
         let mut core = Core {
             node_id: 1,
             started: Instant::now(),
@@ -1190,13 +1251,14 @@ mod tests {
             pending_image: None,
             takeover_started: None,
         };
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let evicted = Arc::new(AtomicBool::new(false));
         core.links.insert(
             2,
             LinkHandle {
                 epoch: 1,
                 tx,
+                depth: Arc::new(AtomicUsize::new(0)),
                 evicted: evicted.clone(),
             },
         );
@@ -1215,5 +1277,43 @@ mod tests {
             "eviction must reach the journal"
         );
         drop(rx);
+    }
+
+    /// An embedder that stops reading events must not grow the queue: past
+    /// the stated depth further events are dropped and counted.
+    #[test]
+    fn full_event_queue_sheds_and_counts() {
+        let obs = Obs::new();
+        let (events_tx, events_rx) = sync_channel(EVENT_QUEUE_DEPTH);
+        for generation in 0..EVENT_QUEUE_DEPTH as u64 + 3 {
+            send_event(&events_tx, &obs, ClusterEvent::BecameLeader { generation });
+        }
+        assert_eq!(obs.counters.get("sav_cluster_events_dropped_total"), 3);
+        // The queued ones are the oldest, in order.
+        assert_eq!(
+            events_rx.try_recv(),
+            Ok(ClusterEvent::BecameLeader { generation: 0 })
+        );
+        assert_eq!(events_rx.try_iter().count(), EVENT_QUEUE_DEPTH - 1);
+    }
+
+    /// The outbox depth counts frames queued and not yet drained, and a
+    /// send to a link whose thread is gone leaves it unchanged.
+    #[test]
+    fn link_depth_tracks_queued_frames() {
+        let (tx, rx) = channel();
+        let link = LinkHandle {
+            epoch: 1,
+            tx,
+            depth: Arc::new(AtomicUsize::new(0)),
+            evicted: Arc::new(AtomicBool::new(false)),
+        };
+        for _ in 0..3 {
+            link.send(vec![0]);
+        }
+        assert_eq!(link.depth.load(Ordering::Relaxed), 3);
+        drop(rx);
+        link.send(vec![0]);
+        assert_eq!(link.depth.load(Ordering::Relaxed), 3);
     }
 }

@@ -9,7 +9,7 @@
 //! response closes its connection, so no keep-alive state machine is
 //! needed.
 
-use crate::event::Severity;
+use crate::event::{EventKind, Severity};
 use crate::prom::encode_prometheus;
 use crate::Obs;
 use std::io::{Read, Write};
@@ -21,6 +21,9 @@ use std::time::Duration;
 
 const DEFAULT_EVENT_TAIL: usize = 256;
 const MAX_REQUEST_BYTES: usize = 8192;
+/// Pause after a failed `accept` (EMFILE, ECONNABORTED, …) before the
+/// listener tries again.
+const ACCEPT_RETRY: Duration = Duration::from_millis(50);
 
 /// A running exposition endpoint.
 pub struct ObsServer {
@@ -36,6 +39,7 @@ impl ObsServer {
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
+        obs.counters.add("sav_obs_accept_errors_total", 0);
         let thread = {
             let stop = stop.clone();
             thread::spawn(move || {
@@ -45,7 +49,18 @@ impl ObsServer {
                         Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                             thread::sleep(Duration::from_millis(5));
                         }
-                        Err(_) => break,
+                        Err(e) => {
+                            // Never abandon the listener: count, journal,
+                            // pause, and keep serving.
+                            obs.counters.incr("sav_obs_accept_errors_total");
+                            obs.event(
+                                Severity::Error,
+                                EventKind::AcceptError {
+                                    error: e.to_string(),
+                                },
+                            );
+                            thread::sleep(ACCEPT_RETRY);
+                        }
                     }
                 }
             })

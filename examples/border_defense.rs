@@ -19,7 +19,6 @@
 //! cargo run --release -p sav-examples --bin border_defense
 //! ```
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sav_border::BorderGuardApp;
 use sav_channel::backoff::BackoffPolicy;
 use sav_channel::client::{self, ClientConfig};
@@ -39,6 +38,7 @@ use sav_openflow::ports::PortDesc;
 use sav_topo::routes::Routes;
 use sav_topo::{SwitchRole, Topology};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,7 +51,7 @@ fn mk_switch(dpid: u64, nports: u32) -> OpenFlowSwitch {
 
 /// One switch client plus the hosts hanging off its access ports.
 struct Node {
-    injector: Sender<(u32, Vec<u8>)>,
+    injector: SyncSender<(u32, Vec<u8>)>,
     delivered_rx: Receiver<(u32, Vec<u8>)>,
     hosts: HashMap<u32, Host>,
     trunk: u32,
@@ -166,8 +166,8 @@ fn main() {
         fault: FaultPlan::none(),
         read_timeout: Duration::from_millis(5),
     };
-    let (ext_tx, ext_rx) = unbounded();
-    let (bor_tx, bor_rx) = unbounded();
+    let (ext_tx, ext_rx) = channel();
+    let (bor_tx, bor_rx) = channel();
     let c_ext = client::spawn(
         addr,
         mk_switch(ext.dpid(), 4),

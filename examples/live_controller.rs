@@ -20,7 +20,6 @@
 //! cargo run --release -p sav-examples --bin live_controller
 //! ```
 
-use crossbeam::channel::unbounded;
 use sav_channel::backoff::BackoffPolicy;
 use sav_channel::client::{self, ClientConfig, Link};
 use sav_channel::fault::FaultPlan;
@@ -38,6 +37,7 @@ use sav_openflow::ports::PortDesc;
 use sav_topo::generators;
 use sav_topo::routes::Routes;
 use std::net::Ipv4Addr;
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -122,7 +122,7 @@ fn main() {
         read_timeout: Duration::from_millis(5),
     };
 
-    let (delivered_tx, delivered_rx) = unbounded();
+    let (delivered_tx, delivered_rx) = channel();
     // Start s1 first so s0's trunk link can reference its frame injector.
     let c1 = client::spawn(
         addr,

@@ -15,7 +15,6 @@
 //!
 //! Exits non-zero if any stage fails, so CI can use it as a smoke test.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sav_channel::backoff::BackoffPolicy;
 use sav_channel::client::{self, ClientConfig};
 use sav_channel::fault::FaultPlan;
@@ -37,6 +36,7 @@ use sav_topo::generators;
 use sav_topo::routes::Routes;
 use sav_topo::Topology;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -105,7 +105,7 @@ fn controller_with_store(topo: &Arc<Topology>, dir: &std::path::Path) -> (Contro
 /// One switch's edge: injector, host-side deliveries, attached hosts, and
 /// the trunk wiring the pump uses to emulate the inter-switch link.
 struct Edge {
-    injector: Sender<(u32, Vec<u8>)>,
+    injector: SyncSender<(u32, Vec<u8>)>,
     delivered_rx: Receiver<(u32, Vec<u8>)>,
     hosts: HashMap<u32, Host>,
     trunk: u32,
@@ -185,8 +185,8 @@ fn main() {
     let addr = server.local_addr();
     println!("  controller listening on {addr}");
 
-    let (d0_tx, d0_rx) = unbounded();
-    let (d1_tx, d1_rx) = unbounded();
+    let (d0_tx, d0_rx) = channel();
+    let (d1_tx, d1_rx) = channel();
     let c0 = client::spawn(addr, mk_switch(1), client_config(1), vec![], d0_tx);
     let c1 = client::spawn(addr, mk_switch(2), client_config(2), vec![], d1_tx);
     let ctrl = server.controller();

@@ -5,9 +5,8 @@
 //! The machine running CI may have a single CPU, so every wait is a
 //! deadline-polled condition rather than a fixed sleep.
 
-use crossbeam::channel::unbounded;
 use sav_channel::backoff::BackoffPolicy;
-use sav_channel::client::{self, ClientConfig, Link};
+use sav_channel::client::{self, ClientConfig, Link, INJECT_QUEUE_DEPTH};
 use sav_channel::fault::FaultPlan;
 use sav_channel::server::{ServerConfig, SouthboundServer};
 use sav_controller::app::App;
@@ -25,6 +24,7 @@ use sav_topo::routes::Routes;
 use sav_topo::Topology;
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, TcpStream};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -113,7 +113,7 @@ fn loopback_tcp_sav_end_to_end() {
     .unwrap();
     let addr = server.local_addr();
 
-    let (delivered_tx, delivered_rx) = unbounded();
+    let (delivered_tx, delivered_rx) = channel();
     // Start s1 first so s0's trunk link can reference its injector.
     let c1 = client::spawn(
         addr,
@@ -271,7 +271,7 @@ fn reconnect_restores_filtering() {
     )
     .unwrap();
 
-    let (delivered_tx, delivered_rx) = unbounded();
+    let (delivered_tx, delivered_rx) = channel();
     let c0 = client::spawn(
         server.local_addr(),
         mk_switch(1),
@@ -350,7 +350,7 @@ fn sav_accuracy_unchanged_under_lossy_faultplan() {
     )
     .unwrap();
 
-    let (delivered_tx, delivered_rx) = unbounded();
+    let (delivered_tx, delivered_rx) = channel();
     let lossy = ClientConfig {
         fault: FaultPlan::seeded(0xbad, 6)
             .with_drops(0.4)
@@ -422,7 +422,7 @@ fn faultplan_resets_force_reconnects_then_converge() {
         fault: FaultPlan::seeded(0x5eed, 3).with_resets(1.0),
         ..fast_client_config(9)
     };
-    let (delivered_tx, _delivered_rx) = unbounded();
+    let (delivered_tx, _delivered_rx) = channel();
     let c0 = client::spawn(
         server.local_addr(),
         mk_switch(7),
@@ -471,7 +471,7 @@ fn keepalive_rtt_lands_in_metrics() {
         Controller::new(vec![]),
     )
     .unwrap();
-    let (delivered_tx, _delivered_rx) = unbounded();
+    let (delivered_tx, _delivered_rx) = channel();
     let c0 = client::spawn(
         server.local_addr(),
         mk_switch(5),
@@ -571,4 +571,30 @@ fn switch_initiated_echo_is_answered() {
         "controller must answer switch-initiated echo with the same payload"
     );
     server.shutdown();
+}
+
+/// The injector queue is bounded: a switch that is not serving (here, it
+/// dials an address nobody listens on) stops draining it, and frames past
+/// [`INJECT_QUEUE_DEPTH`] are shed and counted, one for one.
+#[test]
+fn injector_sheds_past_its_depth_and_counts_each_drop() {
+    let nowhere = std::net::TcpListener::bind("127.0.0.1:0")
+        .unwrap()
+        .local_addr()
+        .unwrap();
+    let (delivered_tx, _delivered_rx) = channel();
+    let c0 = client::spawn(
+        nowhere,
+        mk_switch(4),
+        fast_client_config(13),
+        vec![],
+        delivered_tx,
+    );
+    const EXCESS: usize = 7;
+    let accepted = (0..INJECT_QUEUE_DEPTH + EXCESS)
+        .filter(|_| c0.inject(1, vec![0u8; 64]))
+        .count();
+    assert_eq!(accepted, INJECT_QUEUE_DEPTH);
+    assert_eq!(c0.metrics().stats().frames_dropped, EXCESS as u64);
+    c0.stop();
 }

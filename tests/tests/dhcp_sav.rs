@@ -9,6 +9,7 @@ use sav_controller::testbed::TestbedCmd;
 use sav_core::SavApp;
 use sav_dataplane::host::{DhcpServerState, HostApp, SpoofMode};
 use sav_net::addr::Ipv4Cidr;
+use sav_obs::Obs;
 use sav_sim::{SimDuration, SimTime};
 use sav_topo::generators as topogen;
 use sav_topo::Topology;
@@ -56,6 +57,11 @@ fn dhcp_testbed(
 #[test]
 fn dora_learns_binding_and_enforces_it() {
     let (_topo, mut tb, pool) = dhcp_testbed(None);
+    let obs = Obs::with_tracing();
+    tb.controller_mut().set_obs(obs.clone());
+    tb.controller_mut()
+        .with_app::<SavApp, _>(|a| a.set_obs(obs.clone()))
+        .unwrap();
     tb.run_until(SimTime::from_millis(100));
 
     // Hosts 1 and 2 acquire addresses.
@@ -82,6 +88,12 @@ fn dora_learns_binding_and_enforces_it() {
         .unwrap();
     assert_eq!(n.0, 2, "two snooped bindings");
     assert_eq!(n.1, 2, "two ACKs seen");
+    // Every DORA exchange completes a causal trace (packet-in → barrier ack).
+    assert_eq!(
+        (obs.traces.completed(), obs.traces.abandoned()),
+        (2, 0),
+        "one completed trace per DORA exchange"
+    );
 
     // Host 1 → host 2 honest traffic passes.
     tb.schedule(

@@ -13,7 +13,6 @@
 //! generation is rejected by the switch's role logic before any app runs,
 //! surfacing as a `role_rejected` journal event and zero flow-mods.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sav_channel::backoff::BackoffPolicy;
 use sav_channel::client::{self, ClientConfig};
 use sav_channel::fault::FaultPlan;
@@ -41,6 +40,7 @@ use sav_topo::Topology;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::path::PathBuf;
+use std::sync::mpsc::{channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,7 +150,7 @@ fn promote_and_serve(
 
 /// The single switch's edge: frame injector, host-side deliveries, hosts.
 struct Edge {
-    injector: Sender<(u32, Vec<u8>)>,
+    injector: SyncSender<(u32, Vec<u8>)>,
     delivered_rx: Receiver<(u32, Vec<u8>)>,
     hosts: HashMap<u32, Host>,
 }
@@ -269,7 +269,7 @@ fn standby_takes_over_without_widening_filtering() {
     // One switch that knows both controller endpoints: the standby's
     // listener does not exist yet — it binds on takeover and the dialer
     // finds it in rotation.
-    let (d_tx, d_rx) = unbounded();
+    let (d_tx, d_rx) = channel();
     let client = client::spawn_multi(
         vec![south1, south2],
         mk_switch(1),
@@ -489,6 +489,12 @@ fn standby_takes_over_without_widening_filtering() {
         "the new leader must snoop fresh DHCP traffic"
     );
 
+    // Neither bounded queue shed anything along the way.
+    assert_eq!(client.metrics().stats().frames_dropped, 0);
+    for obs in [&obs1, &obs2] {
+        assert_eq!(obs.counters.get("sav_cluster_events_dropped_total"), 0);
+    }
+
     client.stop();
     server2.shutdown();
     h2.shutdown();
@@ -530,7 +536,7 @@ fn stale_generation_controller_is_fenced_over_tcp() {
     ctrl.set_obs(obs.clone());
 
     let server = SouthboundServer::bind("127.0.0.1:0", fast_server_config(), ctrl).unwrap();
-    let (d_tx, _d_rx) = unbounded();
+    let (d_tx, _d_rx) = channel();
     let client = client::spawn(server.local_addr(), sw, fast_client_config(3), vec![], d_tx);
 
     let ctrl = server.controller();
@@ -600,7 +606,7 @@ fn switch_rotates_past_an_accepting_but_dead_controller() {
     let server = SouthboundServer::bind("127.0.0.1:0", fast_server_config(), ctrl).unwrap();
 
     // The switch dials the zombie first.
-    let (d_tx, _d_rx) = unbounded();
+    let (d_tx, _d_rx) = channel();
     let client = client::spawn_multi(
         vec![zombie_addr, server.local_addr()],
         mk_switch(1),

@@ -13,7 +13,6 @@
 //! - the journal records binding_learned → rule_installed → spoof_drop
 //!   in causal order (by sequence number).
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sav_channel::backoff::BackoffPolicy;
 use sav_channel::client::{self, ClientConfig};
 use sav_channel::fault::FaultPlan;
@@ -35,6 +34,7 @@ use sav_store::{BindingStore, StoreConfig};
 use sav_topo::generators;
 use sav_topo::routes::Routes;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,7 +46,7 @@ fn mk_switch(dpid: u64) -> OpenFlowSwitch {
 }
 
 struct Edge {
-    injector: Sender<(u32, Vec<u8>)>,
+    injector: SyncSender<(u32, Vec<u8>)>,
     delivered_rx: Receiver<(u32, Vec<u8>)>,
     hosts: HashMap<u32, Host>,
     trunk: u32,
@@ -188,8 +188,8 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
         fault: FaultPlan::none(),
         read_timeout: Duration::from_millis(5),
     };
-    let (d0_tx, d0_rx) = unbounded();
-    let (d1_tx, d1_rx) = unbounded();
+    let (d0_tx, d0_rx) = channel();
+    let (d1_tx, d1_rx) = channel();
     let c0 = client::spawn(addr, mk_switch(1), fast_client(1), vec![], d0_tx);
     let c1 = client::spawn(addr, mk_switch(2), fast_client(2), vec![], d1_tx);
 
@@ -442,6 +442,13 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
             .any(|(l, v)| l.contains("q=\"0.99\"") && *v > 0.0),
         "p99 quantile gauge must be exported:\n{metrics}"
     );
+    for c in [&c0, &c1] {
+        assert_eq!(
+            c.metrics().stats().frames_dropped,
+            0,
+            "injector shed frames"
+        );
+    }
 
     c0.stop();
     c1.stop();
@@ -613,6 +620,17 @@ fn cluster_metrics_surface_in_the_scrape() {
         Some(0.0),
         "the failover counter must be registered at zero:\n{metrics}"
     );
+    for series in [
+        "sav_cluster_events_dropped_total",
+        "sav_cluster_accept_errors_total",
+        "sav_obs_accept_errors_total",
+    ] {
+        assert_eq!(
+            series_values(&metrics, series).first().map(|(_, v)| *v),
+            Some(0.0),
+            "{series} must be registered at zero:\n{metrics}"
+        );
+    }
 
     // The health endpoint reports the role for LB-style probing.
     let (status, body) = http_get(obs_addr, "/healthz").unwrap();

@@ -13,7 +13,6 @@
 //! the link is bidirectional without the spawn-order knot of `Link`
 //! handles.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use sav_channel::backoff::BackoffPolicy;
 use sav_channel::client::{self, ClientConfig};
 use sav_channel::fault::FaultPlan;
@@ -34,6 +33,7 @@ use sav_topo::generators;
 use sav_topo::routes::Routes;
 use sav_topo::Topology;
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -92,7 +92,7 @@ fn controller_with_store(topo: &Arc<Topology>, dir: &std::path::Path) -> (Contro
 /// One switch's edge: its frame injector, its host-side deliveries, and the
 /// simulated hosts hanging off its access ports.
 struct Edge {
-    injector: Sender<(u32, Vec<u8>)>,
+    injector: SyncSender<(u32, Vec<u8>)>,
     delivered_rx: Receiver<(u32, Vec<u8>)>,
     hosts: HashMap<u32, Host>,
     /// This switch's inter-switch port (differs per switch in `linear`).
@@ -184,8 +184,8 @@ fn controller_restart_recovers_bindings_over_tcp() {
     let server = SouthboundServer::bind("127.0.0.1:0", fast_server_config(), ctrl1).unwrap();
     let addr = server.local_addr();
 
-    let (d0_tx, d0_rx) = unbounded();
-    let (d1_tx, d1_rx) = unbounded();
+    let (d0_tx, d0_rx) = channel();
+    let (d1_tx, d1_rx) = channel();
     let c0 = client::spawn(addr, mk_switch(1), fast_client_config(1), vec![], d0_tx);
     let c1 = client::spawn(addr, mk_switch(2), fast_client_config(2), vec![], d1_tx);
 
@@ -417,6 +417,13 @@ fn controller_restart_recovers_bindings_over_tcp() {
                 || del.payload == b"unbound-after-restart"),
         "spoofed and unbound sources must still be dropped after recovery"
     );
+    for c in [&c0, &c1] {
+        assert_eq!(
+            c.metrics().stats().frames_dropped,
+            0,
+            "injector shed frames"
+        );
+    }
 
     c0.stop();
     c1.stop();
