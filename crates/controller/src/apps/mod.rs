@@ -1,9 +1,5 @@
 //! Built-in controller applications.
 
-pub mod discovery;
 pub mod l2_routing;
-pub mod stats;
 
-pub use discovery::DiscoveryApp;
 pub use l2_routing::L2RoutingApp;
-pub use stats::StatsCollectorApp;

@@ -8,10 +8,10 @@
 //!   collection.
 //! * [`app`] — the application trait and [`app::Ctx`], the handle apps use
 //!   to install flows, send packet-outs and read the network view.
-//! * [`apps`] — built-in applications every scenario uses: proactive
-//!   destination-MAC forwarding over shortest paths, proxy-ARP with
-//!   tree-flooding fallback, and a DHCP server (the address-assignment
-//!   authority that SAV's DHCP-snooping mode observes).
+//! * [`apps`] — [`apps::L2RoutingApp`], the forwarding application every
+//!   scenario uses: proactive destination-MAC forwarding over shortest
+//!   paths and proxy-ARP with tree-flooding fallback. (The DHCP server that
+//!   SAV's DHCP-snooping mode observes runs as a data-plane host.)
 //! * [`testbed`] — the deterministic full-network simulation: switches,
 //!   hosts, control channels with latency, link latencies, a command
 //!   interface for workloads, and measurement taps.

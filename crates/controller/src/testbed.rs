@@ -505,23 +505,6 @@ impl Testbed {
         }
     }
 
-    /// Ask a [`crate::apps::StatsCollectorApp`] in the chain (if any) to
-    /// poll every switch, and route the requests. Replies arrive through
-    /// the normal event flow; read them back via
-    /// `controller_mut().with_app::<StatsCollectorApp, _>(...)` after a
-    /// further `run_until`.
-    pub fn poll_stats(&mut self, now: SimTime) {
-        let mut ctx = crate::app::Ctx::new(now);
-        let polled = self
-            .controller
-            .with_app::<crate::apps::StatsCollectorApp, _>(|app| app.request_all(&mut ctx))
-            .is_some();
-        if polled {
-            let msgs = ctx.take();
-            self.controller_send(now, msgs);
-        }
-    }
-
     /// Fire one controller poll tick ([`crate::Controller::poll_tick`]):
     /// every app's `on_poll` runs for every ready switch and the resulting
     /// requests (stats poller multiparts, etc.) are routed to the switches.

@@ -1,9 +1,11 @@
 //! # sav-integration-tests — helpers shared by the workspace-level tests
 //!
 //! The actual tests live in `tests/tests/*.rs`; this library carries the
-//! common scenario shorthand.
+//! common scenario shorthand and, in [`live`], the loopback-TCP harness.
 
 #![forbid(unsafe_code)]
+
+pub mod live;
 
 use sav_baselines::Mechanism;
 use sav_bench::{run_mechanism, Outcome, ScenarioOpts};

@@ -1,11 +1,8 @@
 //! Integration tests for the sav-channel TCP transport: the sans-IO
 //! controller and switch cores over real loopback sockets, with keepalives,
-//! reconnect, and fault injection.
-//!
-//! The machine running CI may have a single CPU, so every wait is a
-//! deadline-polled condition rather than a fixed sleep.
+//! reconnect, and fault injection, driven through the shared
+//! [`sav_integration_tests::live`] harness.
 
-use sav_channel::backoff::BackoffPolicy;
 use sav_channel::client::{self, ClientConfig, Link, INJECT_QUEUE_DEPTH};
 use sav_channel::fault::FaultPlan;
 use sav_channel::server::{ServerConfig, SouthboundServer};
@@ -13,12 +10,11 @@ use sav_controller::app::App;
 use sav_controller::apps::L2RoutingApp;
 use sav_controller::Controller;
 use sav_core::{SavApp, SavConfig};
-use sav_dataplane::switch::{OpenFlowSwitch, SwitchConfig};
+use sav_integration_tests::live::{fast_client_config, fast_server_config, mk_switch, wait_for};
 use sav_net::builder::build_ipv4_udp;
 use sav_net::prelude::*;
 use sav_openflow::framing::Deframer;
 use sav_openflow::messages::{EchoData, FeaturesReply, Message};
-use sav_openflow::ports::PortDesc;
 use sav_topo::generators;
 use sav_topo::routes::Routes;
 use sav_topo::Topology;
@@ -27,25 +23,6 @@ use std::net::{Ipv4Addr, TcpStream};
 use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Poll `cond` until it holds or `timeout` passes; false on timeout.
-fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
-
-fn mk_switch(dpid: u64) -> OpenFlowSwitch {
-    let ports = (1..=3)
-        .map(|p| PortDesc::new(p, MacAddr::from_index(dpid * 100 + u64::from(p))))
-        .collect();
-    OpenFlowSwitch::new(SwitchConfig::new(dpid), ports)
-}
 
 fn sav_apps(topo: &Arc<Topology>) -> Vec<Box<dyn App>> {
     let routes = Arc::new(Routes::compute(topo));
@@ -76,29 +53,6 @@ fn udp_between(
     build_ipv4_udp(&eth, &ip, &udp, tag)
 }
 
-/// Fast keepalive settings so liveness tests finish quickly.
-fn fast_server_config() -> ServerConfig {
-    ServerConfig {
-        echo_interval: Duration::from_millis(50),
-        liveness_timeout: Duration::from_millis(400),
-        outbound_queue: 64,
-        write_stall_timeout: Duration::from_millis(500),
-        ..ServerConfig::default()
-    }
-}
-
-fn fast_client_config(seed: u64) -> ClientConfig {
-    ClientConfig {
-        backoff: BackoffPolicy {
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(200),
-            seed,
-        },
-        fault: FaultPlan::none(),
-        read_timeout: Duration::from_millis(5),
-    }
-}
-
 /// Two switches over real loopback TCP: the handshake completes, SAV rules
 /// install, and a spoofed packet dies at the first switch while the honest
 /// one crosses the fabric — end to end through sav-channel.
@@ -117,14 +71,14 @@ fn loopback_tcp_sav_end_to_end() {
     // Start s1 first so s0's trunk link can reference its injector.
     let c1 = client::spawn(
         addr,
-        mk_switch(2),
+        mk_switch(2, 3),
         fast_client_config(2),
         vec![],
         delivered_tx.clone(),
     );
     let c0 = client::spawn(
         addr,
-        mk_switch(1),
+        mk_switch(1, 3),
         fast_client_config(1),
         vec![Link {
             local_port: 1,
@@ -274,7 +228,7 @@ fn reconnect_restores_filtering() {
     let (delivered_tx, delivered_rx) = channel();
     let c0 = client::spawn(
         server.local_addr(),
-        mk_switch(1),
+        mk_switch(1, 3),
         fast_client_config(7),
         vec![],
         delivered_tx,
@@ -361,7 +315,7 @@ fn sav_accuracy_unchanged_under_lossy_faultplan() {
     };
     let c0 = client::spawn(
         server.local_addr(),
-        mk_switch(1),
+        mk_switch(1, 3),
         lossy,
         vec![],
         delivered_tx,
@@ -425,7 +379,7 @@ fn faultplan_resets_force_reconnects_then_converge() {
     let (delivered_tx, _delivered_rx) = channel();
     let c0 = client::spawn(
         server.local_addr(),
-        mk_switch(7),
+        mk_switch(7, 3),
         resetting,
         vec![],
         delivered_tx,
@@ -474,7 +428,7 @@ fn keepalive_rtt_lands_in_metrics() {
     let (delivered_tx, _delivered_rx) = channel();
     let c0 = client::spawn(
         server.local_addr(),
-        mk_switch(5),
+        mk_switch(5, 3),
         fast_client_config(11),
         vec![],
         delivered_tx,
@@ -585,7 +539,7 @@ fn injector_sheds_past_its_depth_and_counts_each_drop() {
     let (delivered_tx, _delivered_rx) = channel();
     let c0 = client::spawn(
         nowhere,
-        mk_switch(4),
+        mk_switch(4, 3),
         fast_client_config(13),
         vec![],
         delivered_tx,

@@ -1,26 +1,28 @@
-//! Control-plane services end to end: LLDP link discovery, central
-//! statistics collection over multipart, and a larger-scale smoke run —
-//! all across the real OpenFlow byte channels.
+//! Control plane end to end across the real OpenFlow byte channels: SAV
+//! filtering under the default configuration, and a larger-scale smoke run
+//! with a replay-determinism check.
 
 use sav_baselines::Mechanism;
 use sav_bench::{run_mechanism, ScenarioOpts};
-use sav_controller::apps::{DiscoveryApp, L2RoutingApp, StatsCollectorApp};
+use sav_controller::apps::L2RoutingApp;
 use sav_controller::testbed::{Testbed, TestbedConfig};
 use sav_controller::Controller;
-use sav_core::{SavApp, SavConfig, PRIO_OSAV_DENY, SAV_COOKIE};
+use sav_core::{SavApp, SavConfig};
 use sav_dataplane::host::{HostApp, HostConfig};
 use sav_sim::{SimDuration, SimTime};
 use sav_topo::generators as topogen;
 use sav_topo::routes::Routes;
-use sav_topo::SwitchId;
 use sav_traffic::generators as trafficgen;
 use std::sync::Arc;
 
-fn testbed_with_apps(
-    topo: &Arc<sav_topo::Topology>,
-    apps: Vec<Box<dyn sav_controller::App>>,
-) -> Testbed {
-    let routes = Arc::new(Routes::compute(topo));
+#[test]
+fn default_sav_blocks_spoofing() {
+    let topo = Arc::new(topogen::linear(2, 2));
+    let routes = Arc::new(Routes::compute(&topo));
+    let apps: Vec<Box<dyn sav_controller::App>> = vec![
+        Box::new(SavApp::new(topo.clone(), SavConfig::default())),
+        Box::new(L2RoutingApp::new(topo.clone(), routes.clone())),
+    ];
     let mut tb = Testbed::new(
         topo.clone(),
         routes,
@@ -33,64 +35,8 @@ fn testbed_with_apps(
         },
     );
     tb.seed_all_arp();
-    tb
-}
-
-#[test]
-fn lldp_discovery_recovers_the_physical_topology() {
-    let topo = Arc::new(topogen::campus(4, 2));
-    let routes = Arc::new(Routes::compute(&topo));
-    let apps: Vec<Box<dyn sav_controller::App>> = vec![
-        Box::new(DiscoveryApp::new()),
-        Box::new(SavApp::new(topo.clone(), SavConfig::default())),
-        Box::new(L2RoutingApp::new(topo.clone(), routes.clone())),
-    ];
-    let mut tb = testbed_with_apps(&topo, apps);
     tb.connect_control_plane();
     tb.run_until(SimTime::from_millis(200));
-
-    let discovered = tb
-        .controller_mut()
-        .with_app::<DiscoveryApp, _>(|a| a.undirected_links())
-        .unwrap();
-    // Expected: every topo link, as ((dpid, port), (dpid, port)) pairs.
-    let mut want: Vec<((u64, u32), (u64, u32))> = topo
-        .links()
-        .iter()
-        .map(|l| {
-            let a = (l.a.0.dpid(), l.a.1);
-            let b = (l.b.0.dpid(), l.b.1);
-            if a <= b {
-                (a, b)
-            } else {
-                (b, a)
-            }
-        })
-        .collect();
-    want.sort_unstable();
-    assert_eq!(discovered, want, "discovery must recover all trunk links");
-}
-
-#[test]
-fn discovery_coexists_with_sav_filtering() {
-    // The discovery punt rule sits above SAV; both must work at once.
-    let topo = Arc::new(topogen::linear(2, 2));
-    let routes = Arc::new(Routes::compute(&topo));
-    let apps: Vec<Box<dyn sav_controller::App>> = vec![
-        Box::new(DiscoveryApp::new()),
-        Box::new(SavApp::new(topo.clone(), SavConfig::default())),
-        Box::new(L2RoutingApp::new(topo.clone(), routes.clone())),
-    ];
-    let mut tb = testbed_with_apps(&topo, apps);
-    tb.connect_control_plane();
-    tb.run_until(SimTime::from_millis(200));
-    // Links found…
-    let n_links = tb
-        .controller_mut()
-        .with_app::<DiscoveryApp, _>(|a| a.undirected_links().len())
-        .unwrap();
-    assert_eq!(n_links, 1);
-    // …and spoofing still blocked.
     tb.schedule(
         SimTime::from_millis(300),
         sav_controller::testbed::TestbedCmd::SendUdp {
@@ -104,61 +50,6 @@ fn discovery_coexists_with_sav_filtering() {
     );
     tb.run_until(SimTime::from_secs(1));
     assert!(tb.deliveries.iter().all(|d| d.delivery.payload != b"spoof"));
-}
-
-#[test]
-fn stats_collector_reads_deny_counters_over_multipart() {
-    let topo = Arc::new(topogen::linear(2, 2));
-    let routes = Arc::new(Routes::compute(&topo));
-    let apps: Vec<Box<dyn sav_controller::App>> = vec![
-        Box::new(StatsCollectorApp::new()),
-        Box::new(SavApp::new(topo.clone(), SavConfig::default())),
-        Box::new(L2RoutingApp::new(topo.clone(), routes.clone())),
-    ];
-    let mut tb = testbed_with_apps(&topo, apps);
-    tb.connect_control_plane();
-    tb.run_until(SimTime::from_millis(100));
-
-    // Three spoofed packets die in the deny rule at switch 0.
-    for i in 0..3u64 {
-        tb.schedule(
-            SimTime::from_millis(200 + i * 10),
-            sav_controller::testbed::TestbedCmd::SendUdp {
-                host: 0,
-                dst_ip: topo.hosts()[3].ip,
-                src_port: 1,
-                dst_port: 7,
-                payload: vec![0u8; 16],
-                spoof: sav_dataplane::host::SpoofMode::Ipv4("203.0.113.1".parse().unwrap()),
-            },
-        );
-    }
-    tb.run_until(SimTime::from_secs(1));
-    // Poll and let the replies flow back.
-    tb.poll_stats(tb.now());
-    tb.run_until(tb.now() + SimDuration::from_millis(50));
-
-    let (replies, deny_hits, port_rx, table0_active) = tb
-        .controller_mut()
-        .with_app::<StatsCollectorApp, _>(|a| {
-            let deny = a.sum_flow_packets(|e| {
-                e.priority == PRIO_OSAV_DENY && e.cookie & 0xffff_0000_0000_0000 == SAV_COOKIE
-            });
-            let s0 = a.snapshot(SwitchId(0).dpid()).cloned().unwrap_or_default();
-            let rx: u64 = s0.ports.iter().map(|p| p.rx_packets).sum();
-            let t0 = s0
-                .tables
-                .iter()
-                .find(|t| t.table_id == 0)
-                .map(|t| t.active_count)
-                .unwrap_or(0);
-            (a.replies_seen, deny, rx, t0)
-        })
-        .unwrap();
-    assert!(replies >= 6, "flow+port+table replies from both switches");
-    assert_eq!(deny_hits, 3, "deny counters visible through multipart");
-    assert!(port_rx >= 3, "port stats collected");
-    assert!(table0_active >= 4, "table stats collected");
 }
 
 #[test]

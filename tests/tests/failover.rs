@@ -15,8 +15,7 @@
 
 use sav_channel::backoff::BackoffPolicy;
 use sav_channel::client::{self, ClientConfig};
-use sav_channel::fault::FaultPlan;
-use sav_channel::server::{ServerConfig, SouthboundServer};
+use sav_channel::server::SouthboundServer;
 use sav_cluster::{ClusterConfig, ClusterEvent, ClusterHandle, ClusterNode, Role};
 use sav_controller::app::App;
 use sav_controller::apps::L2RoutingApp;
@@ -25,13 +24,14 @@ use sav_core::{SavApp, SavConfig};
 use sav_dataplane::host::{
     Delivery, DhcpServerState, DhcpState, Host, HostApp, HostConfig, SpoofMode,
 };
-use sav_dataplane::switch::{OpenFlowSwitch, SwitchConfig};
+use sav_integration_tests::live::{
+    fast_client_config, fast_server_config, free_addr, mk_switch, pump, pump_until, tmp, wait_for,
+    Edge,
+};
 use sav_metrics::Counters;
 use sav_net::addr::Ipv4Cidr;
-use sav_net::prelude::*;
 use sav_obs::Obs;
 use sav_openflow::messages::{ControllerRole, Message, RoleMsg};
-use sav_openflow::ports::PortDesc;
 use sav_sim::SimTime;
 use sav_store::{BindingStore, StoreConfig};
 use sav_topo::generators;
@@ -40,7 +40,7 @@ use sav_topo::Topology;
 use std::collections::HashMap;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, SyncSender};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,46 +48,16 @@ const LEASE_SECS: u32 = 600;
 /// Cluster liveness lease; the acceptance bar is takeover < 2× this.
 const CLUSTER_LEASE: Duration = Duration::from_millis(500);
 
-fn tmp(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sav-failover-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
-
-fn free_addr() -> SocketAddr {
-    TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap()
-}
-
-fn mk_switch(dpid: u64) -> OpenFlowSwitch {
-    let ports = (1..=4)
-        .map(|p| PortDesc::new(p, MacAddr::from_index(dpid * 100 + u64::from(p))))
-        .collect();
-    OpenFlowSwitch::new(SwitchConfig::new(dpid), ports)
-}
-
-fn fast_server_config() -> ServerConfig {
-    ServerConfig {
-        echo_interval: Duration::from_millis(50),
-        liveness_timeout: Duration::from_millis(400),
-        outbound_queue: 64,
-        write_stall_timeout: Duration::from_millis(500),
-        ..ServerConfig::default()
-    }
-}
-
-fn fast_client_config(seed: u64) -> ClientConfig {
+/// The shared fast dialer with its backoff capped at 100 ms, so the switch
+/// finds the standby's fresh listener well inside the takeover budget.
+fn client_config(seed: u64) -> ClientConfig {
+    let fast = fast_client_config(seed);
     ClientConfig {
         backoff: BackoffPolicy {
-            base: Duration::from_millis(20),
             cap: Duration::from_millis(100),
-            seed,
+            ..fast.backoff
         },
-        fault: FaultPlan::none(),
-        read_timeout: Duration::from_millis(5),
+        ..fast
     }
 }
 
@@ -148,77 +118,23 @@ fn promote_and_serve(
     (server, counters)
 }
 
-/// The single switch's edge: frame injector, host-side deliveries, hosts.
-struct Edge {
-    injector: SyncSender<(u32, Vec<u8>)>,
-    delivered_rx: Receiver<(u32, Vec<u8>)>,
-    hosts: HashMap<u32, Host>,
-}
-
-/// Move frames until the data plane goes quiet (single switch, no trunk).
-fn pump(edge: &mut Edge) -> Vec<(u32, Delivery)> {
-    let mut out = Vec::new();
-    let mut moved = true;
-    while moved {
-        moved = false;
-        while let Ok((port, frame)) = edge.delivered_rx.try_recv() {
-            moved = true;
-            if let Some(host) = edge.hosts.get_mut(&port) {
-                let ho = host.on_frame(&frame);
-                for tx in ho.tx {
-                    edge.injector.send((port, tx)).unwrap();
-                }
-                for d in ho.delivered {
-                    out.push((port, d));
-                }
-            }
-        }
-    }
-    out
-}
-
-fn pump_until(
-    edge: &mut Edge,
-    sink: &mut Vec<(u32, Delivery)>,
-    timeout: Duration,
-    mut cond: impl FnMut(&Edge, &[(u32, Delivery)]) -> bool,
-) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        sink.extend(pump(edge));
-        if cond(edge, sink) {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
-
-fn dora(edge: &mut Edge, port: u32, xid: u32, deliveries: &mut Vec<(u32, Delivery)>) -> Ipv4Addr {
-    let out = edge.hosts.get_mut(&port).unwrap().dhcp_discover(xid);
+fn dora(
+    edges: &mut [Edge],
+    port: u32,
+    xid: u32,
+    deliveries: &mut Vec<(usize, u32, Delivery)>,
+) -> Ipv4Addr {
+    let out = edges[0].hosts.get_mut(&port).unwrap().dhcp_discover(xid);
     for f in out.tx {
-        edge.injector.send((port, f)).unwrap();
+        edges[0].injector.send((port, f)).unwrap();
     }
     assert!(
-        pump_until(edge, deliveries, Duration::from_secs(10), |e, _| {
-            e.hosts[&port].dhcp == DhcpState::Bound
+        pump_until(edges, deliveries, Duration::from_secs(10), |e, _| {
+            e[0].hosts[&port].dhcp == DhcpState::Bound
         }),
         "host on port {port} must bind via DORA"
     );
-    edge.hosts[&port].ip
+    edges[0].hosts[&port].ip
 }
 
 fn send_udp(edge: &mut Edge, port: u32, dst: Ipv4Addr, payload: &[u8], spoof: SpoofMode) {
@@ -272,8 +188,8 @@ fn standby_takes_over_without_widening_filtering() {
     let (d_tx, d_rx) = channel();
     let client = client::spawn_multi(
         vec![south1, south2],
-        mk_switch(1),
-        fast_client_config(7),
+        mk_switch(1, 4),
+        client_config(7),
         vec![],
         d_tx,
     );
@@ -293,9 +209,10 @@ fn standby_takes_over_without_widening_filtering() {
     );
 
     let pool: Ipv4Cidr = "10.0.0.0/24".parse().unwrap();
-    let mut edge = Edge {
+    let mut edges = [Edge {
         injector: client.injector(),
         delivered_rx: d_rx,
+        trunks: HashMap::new(),
         hosts: HashMap::from([
             (
                 server_node.port,
@@ -330,12 +247,12 @@ fn standby_takes_over_without_widening_filtering() {
                 }),
             ),
         ]),
-    };
+    }];
     let mut deliveries = Vec::new();
 
     // Two hosts bind via genuine DORA exchanges; the leader snoops them.
-    let ip_a = dora(&mut edge, host_a.port, 0xa, &mut deliveries);
-    let ip_b = dora(&mut edge, host_b.port, 0xb, &mut deliveries);
+    let ip_a = dora(&mut edges, host_a.port, 0xa, &mut deliveries);
+    let ip_b = dora(&mut edges, host_b.port, 0xb, &mut deliveries);
     assert!(pool.contains(ip_a) && pool.contains(ip_b));
     assert!(
         wait_for(Duration::from_secs(10), || {
@@ -353,13 +270,14 @@ fn standby_takes_over_without_widening_filtering() {
     assert_eq!(h2.role(), Role::Follower);
 
     // Honest traffic flows; a spoofed source dies at the edge.
-    let b_mac = edge.hosts[&host_b.port].mac;
-    edge.hosts
+    let b_mac = edges[0].hosts[&host_b.port].mac;
+    edges[0]
+        .hosts
         .get_mut(&host_a.port)
         .unwrap()
         .learn_arp(ip_b, b_mac);
     send_udp(
-        &mut edge,
+        &mut edges[0],
         host_a.port,
         ip_b,
         b"honest-before",
@@ -367,10 +285,10 @@ fn standby_takes_over_without_widening_filtering() {
     );
     assert!(
         pump_until(
-            &mut edge,
+            &mut edges,
             &mut deliveries,
             Duration::from_secs(10),
-            |_, d| { d.iter().any(|(_, del)| del.payload == b"honest-before") }
+            |_, d| { d.iter().any(|(_, _, del)| del.payload == b"honest-before") }
         ),
         "honest traffic must flow under the first leader"
     );
@@ -383,14 +301,14 @@ fn standby_takes_over_without_widening_filtering() {
     // During the outage the switch's flow table keeps enforcing: spoofed
     // traffic is dropped with no controller alive at all.
     send_udp(
-        &mut edge,
+        &mut edges[0],
         host_a.port,
         ip_b,
         b"spoofed-during-takeover",
         SpoofMode::Ipv4(pool.nth(200).unwrap()),
     );
     std::thread::sleep(Duration::from_millis(100));
-    deliveries.extend(pump(&mut edge));
+    deliveries.extend(pump(&mut edges));
 
     // The standby claims a strictly newer generation within one lease…
     let ev = h2.events().recv_timeout(Duration::from_secs(10)).unwrap();
@@ -441,25 +359,25 @@ fn standby_takes_over_without_widening_filtering() {
 
     // The spoofed frame never surfaced, before or after the takeover.
     send_udp(
-        &mut edge,
+        &mut edges[0],
         host_a.port,
         ip_b,
         b"spoofed-after-takeover",
         SpoofMode::Ipv4(pool.nth(201).unwrap()),
     );
     std::thread::sleep(Duration::from_millis(200));
-    deliveries.extend(pump(&mut edge));
+    deliveries.extend(pump(&mut edges));
     assert!(
         !deliveries
             .iter()
-            .any(|(_, del)| del.payload == b"spoofed-during-takeover"
+            .any(|(_, _, del)| del.payload == b"spoofed-during-takeover"
                 || del.payload == b"spoofed-after-takeover"),
         "spoofed sources must be dropped during and after takeover"
     );
 
     // Honest traffic from a replicated binding flows under the new leader.
     send_udp(
-        &mut edge,
+        &mut edges[0],
         host_a.port,
         ip_b,
         b"honest-after",
@@ -467,17 +385,17 @@ fn standby_takes_over_without_widening_filtering() {
     );
     assert!(
         pump_until(
-            &mut edge,
+            &mut edges,
             &mut deliveries,
             Duration::from_secs(10),
-            |_, d| { d.iter().any(|(_, del)| del.payload == b"honest-after") }
+            |_, d| { d.iter().any(|(_, _, del)| del.payload == b"honest-after") }
         ),
         "honest traffic must flow under the new leader"
     );
 
     // And snooping is live again: a never-bound host completes DORA
     // against the new leader and only then may speak.
-    let ip_d = dora(&mut edge, host_d.port, 0xd, &mut deliveries);
+    let ip_d = dora(&mut edges, host_d.port, 0xd, &mut deliveries);
     assert!(pool.contains(ip_d));
     assert!(
         wait_for(Duration::from_secs(10), || {
@@ -495,6 +413,13 @@ fn standby_takes_over_without_widening_filtering() {
         assert_eq!(obs.counters.get("sav_cluster_events_dropped_total"), 0);
     }
 
+    println!(
+        "failover: standby {ev:?} and serving after takeover = {takeover:?} \
+         (lease {CLUSTER_LEASE:?}); reconcile kept {}, installed {}",
+        counters2.get("reconciled_kept"),
+        counters2.get("reconciled_installed"),
+    );
+
     client.stop();
     server2.shutdown();
     h2.shutdown();
@@ -510,7 +435,7 @@ fn stale_generation_controller_is_fenced_over_tcp() {
 
     // The switch was mastered at generation 9 by the real leader before
     // this controller ever shows up.
-    let mut sw = mk_switch(1);
+    let mut sw = mk_switch(1, 4);
     sw.handle_controller_bytes(
         SimTime::ZERO,
         &Message::RoleRequest(RoleMsg {
@@ -537,7 +462,7 @@ fn stale_generation_controller_is_fenced_over_tcp() {
 
     let server = SouthboundServer::bind("127.0.0.1:0", fast_server_config(), ctrl).unwrap();
     let (d_tx, _d_rx) = channel();
-    let client = client::spawn(server.local_addr(), sw, fast_client_config(3), vec![], d_tx);
+    let client = client::spawn(server.local_addr(), sw, client_config(3), vec![], d_tx);
 
     let ctrl = server.controller();
     assert!(
@@ -609,8 +534,8 @@ fn switch_rotates_past_an_accepting_but_dead_controller() {
     let (d_tx, _d_rx) = channel();
     let client = client::spawn_multi(
         vec![zombie_addr, server.local_addr()],
-        mk_switch(1),
-        fast_client_config(11),
+        mk_switch(1, 4),
+        client_config(11),
         vec![],
         d_tx,
     );

@@ -13,102 +13,28 @@
 //! - the journal records binding_learned → rule_installed → spoof_drop
 //!   in causal order (by sequence number).
 
-use sav_channel::backoff::BackoffPolicy;
-use sav_channel::client::{self, ClientConfig};
-use sav_channel::fault::FaultPlan;
+use sav_channel::client;
 use sav_channel::server::{ServerConfig, SouthboundServer};
 use sav_controller::app::App;
 use sav_controller::apps::L2RoutingApp;
 use sav_controller::Controller;
 use sav_core::{SavApp, SavConfig, StatsPollerApp};
-use sav_dataplane::host::{
-    Delivery, DhcpServerState, DhcpState, Host, HostApp, HostConfig, SpoofMode,
+use sav_dataplane::host::{DhcpServerState, DhcpState, Host, HostApp, HostConfig, SpoofMode};
+use sav_dataplane::switch::OpenFlowSwitch;
+use sav_integration_tests::live::{
+    fast_client_config, free_addr, mk_switch, pump, pump_until, tmp, wait_for, Edge,
 };
-use sav_dataplane::switch::{OpenFlowSwitch, SwitchConfig};
 use sav_net::addr::Ipv4Cidr;
 use sav_net::prelude::*;
 use sav_obs::http::http_get;
 use sav_obs::{Obs, ObsServer};
-use sav_openflow::ports::PortDesc;
 use sav_store::{BindingStore, StoreConfig};
 use sav_topo::generators;
 use sav_topo::routes::Routes;
 use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, SyncSender};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-
-fn mk_switch(dpid: u64) -> OpenFlowSwitch {
-    let ports = (1..=3)
-        .map(|p| PortDesc::new(p, MacAddr::from_index(dpid * 100 + u64::from(p))))
-        .collect();
-    OpenFlowSwitch::new(SwitchConfig::new(dpid), ports)
-}
-
-struct Edge {
-    injector: SyncSender<(u32, Vec<u8>)>,
-    delivered_rx: Receiver<(u32, Vec<u8>)>,
-    hosts: HashMap<u32, Host>,
-    trunk: u32,
-    peer_trunk: u32,
-}
-
-fn pump(edges: &mut [Edge; 2]) -> Vec<(usize, u32, Delivery)> {
-    let mut out = Vec::new();
-    let mut moved = true;
-    while moved {
-        moved = false;
-        for i in 0..2 {
-            while let Ok((port, frame)) = edges[i].delivered_rx.try_recv() {
-                moved = true;
-                if port == edges[i].trunk {
-                    let peer_port = edges[i].peer_trunk;
-                    edges[1 - i].injector.send((peer_port, frame)).unwrap();
-                    continue;
-                }
-                if let Some(host) = edges[i].hosts.get_mut(&port) {
-                    let ho = host.on_frame(&frame);
-                    for tx in ho.tx {
-                        edges[i].injector.send((port, tx)).unwrap();
-                    }
-                    for d in ho.delivered {
-                        out.push((i, port, d));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-fn pump_until(
-    edges: &mut [Edge; 2],
-    timeout: Duration,
-    mut cond: impl FnMut(&[Edge; 2]) -> bool,
-) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        pump(edges);
-        if cond(edges) {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
+use std::time::Duration;
 
 /// Parse `base{labels} value` lines for one metric base name into
 /// `(labels, value)` pairs; a bare `base value` line yields `("", value)`.
@@ -152,8 +78,7 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
     };
     // Store-backed so each learned binding's causal trace crosses the WAL
     // fsync stage, exactly like a production controller.
-    let dir = std::env::temp_dir().join(format!("sav-scrape-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = tmp("scrape-store");
     let store = BindingStore::open(&dir, StoreConfig::default()).unwrap();
     let apps: Vec<Box<dyn App>> = vec![
         Box::new(SavApp::with_store(topo.clone(), config, store).with_obs(obs.clone())),
@@ -179,19 +104,10 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
     let obs_server = ObsServer::bind("127.0.0.1:0", obs.clone()).unwrap();
     let obs_addr = obs_server.local_addr();
 
-    let fast_client = |seed: u64| ClientConfig {
-        backoff: BackoffPolicy {
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(200),
-            seed,
-        },
-        fault: FaultPlan::none(),
-        read_timeout: Duration::from_millis(5),
-    };
     let (d0_tx, d0_rx) = channel();
     let (d1_tx, d1_rx) = channel();
-    let c0 = client::spawn(addr, mk_switch(1), fast_client(1), vec![], d0_tx);
-    let c1 = client::spawn(addr, mk_switch(2), fast_client(2), vec![], d1_tx);
+    let c0 = client::spawn(addr, mk_switch(1, 3), fast_client_config(1), vec![], d0_tx);
+    let c1 = client::spawn(addr, mk_switch(2, 3), fast_client_config(2), vec![], d1_tx);
 
     let ctrl = server.controller();
     assert!(
@@ -207,8 +123,7 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
         Edge {
             injector: c0.injector(),
             delivered_rx: d0_rx,
-            trunk: trunk0,
-            peer_trunk: trunk1,
+            trunks: HashMap::from([(trunk0, (1, trunk1))]),
             hosts: HashMap::from([
                 (
                     server_node.port,
@@ -231,8 +146,7 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
         Edge {
             injector: c1.injector(),
             delivered_rx: d1_rx,
-            trunk: trunk1,
-            peer_trunk: trunk0,
+            trunks: HashMap::from([(trunk1, (0, trunk0))]),
             hosts: HashMap::from([(
                 host_b.port,
                 Host::new(HostConfig {
@@ -251,9 +165,12 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
         edges[0].injector.send((a_port, f)).unwrap();
     }
     assert!(
-        pump_until(&mut edges, Duration::from_secs(10), |e| {
-            e[0].hosts[&a_port].dhcp == DhcpState::Bound
-        }),
+        pump_until(
+            &mut edges,
+            &mut Vec::new(),
+            Duration::from_secs(10),
+            |e, _| { e[0].hosts[&a_port].dhcp == DhcpState::Bound }
+        ),
         "host A must bind via DORA"
     );
     let b_port = host_b.port;
@@ -262,9 +179,12 @@ fn metrics_scrape_reflects_live_dhcp_and_spoofing() {
         edges[1].injector.send((b_port, f)).unwrap();
     }
     assert!(
-        pump_until(&mut edges, Duration::from_secs(10), |e| {
-            e[1].hosts[&b_port].dhcp == DhcpState::Bound
-        }),
+        pump_until(
+            &mut edges,
+            &mut Vec::new(),
+            Duration::from_secs(10),
+            |e, _| { e[1].hosts[&b_port].dhcp == DhcpState::Bound }
+        ),
         "host B must bind via DORA across the trunk"
     );
     let ip_b = edges[1].hosts[&b_port].ip;
@@ -569,15 +489,9 @@ fn border_guard_metrics_surface_in_the_scrape() {
 #[test]
 fn cluster_metrics_surface_in_the_scrape() {
     use sav_cluster::{ClusterConfig, ClusterEvent, ClusterNode};
-    use std::net::TcpListener;
 
-    let dir = std::env::temp_dir().join(format!("sav-scrape-cluster-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let listen = TcpListener::bind("127.0.0.1:0")
-        .unwrap()
-        .local_addr()
-        .unwrap();
+    let dir = tmp("scrape-cluster");
+    let listen = free_addr();
 
     let obs = Obs::new();
     let mut cfg = ClusterConfig::new(1, listen, vec![], &dir);
@@ -797,8 +711,7 @@ fn restart_abandons_half_open_trace_and_traces_again() {
         false
     }
 
-    let dir = std::env::temp_dir().join(format!("sav-scrape-trace-restart-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = tmp("scrape-trace-restart");
 
     let topo = Arc::new(generators::linear(1, 2));
     let hosts = topo.hosts();
@@ -827,7 +740,7 @@ fn restart_abandons_half_open_trace_and_traces_again() {
     // bare one re-allocates from scratch, so life 2 starts past the
     // recovered lease to model a server that kept its records.
     let mk_net = |client_mac: MacAddr, first_index: u32| {
-        let sw = mk_switch(dpid);
+        let sw = mk_switch(dpid, 3);
         let net: HashMap<u32, Host> = HashMap::from([
             (
                 server_node.port,

@@ -13,60 +13,29 @@
 //! the link is bidirectional without the spawn-order knot of `Link`
 //! handles.
 
-use sav_channel::backoff::BackoffPolicy;
-use sav_channel::client::{self, ClientConfig};
-use sav_channel::fault::FaultPlan;
-use sav_channel::server::{ServerConfig, SouthboundServer};
+use sav_channel::client;
+use sav_channel::server::SouthboundServer;
 use sav_controller::app::App;
 use sav_controller::apps::L2RoutingApp;
 use sav_controller::Controller;
 use sav_core::{SavApp, SavConfig};
-use sav_dataplane::host::SpoofMode;
-use sav_dataplane::host::{Delivery, DhcpServerState, DhcpState, Host, HostApp, HostConfig};
-use sav_dataplane::switch::{OpenFlowSwitch, SwitchConfig};
+use sav_dataplane::host::{DhcpServerState, DhcpState, Host, HostApp, HostConfig, SpoofMode};
+use sav_integration_tests::live::{
+    fast_client_config, fast_server_config, mk_switch, pump, pump_until, tmp, wait_for, Edge,
+};
 use sav_metrics::Counters;
 use sav_net::addr::Ipv4Cidr;
 use sav_net::prelude::*;
-use sav_openflow::ports::PortDesc;
 use sav_store::{BindingStore, StoreConfig};
 use sav_topo::generators;
 use sav_topo::routes::Routes;
 use sav_topo::Topology;
 use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, SyncSender};
+use std::sync::mpsc::channel;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const LEASE_SECS: u32 = 600;
-
-fn mk_switch(dpid: u64) -> OpenFlowSwitch {
-    let ports = (1..=3)
-        .map(|p| PortDesc::new(p, MacAddr::from_index(dpid * 100 + u64::from(p))))
-        .collect();
-    OpenFlowSwitch::new(SwitchConfig::new(dpid), ports)
-}
-
-fn fast_server_config() -> ServerConfig {
-    ServerConfig {
-        echo_interval: Duration::from_millis(50),
-        liveness_timeout: Duration::from_millis(400),
-        outbound_queue: 64,
-        write_stall_timeout: Duration::from_millis(500),
-        ..ServerConfig::default()
-    }
-}
-
-fn fast_client_config(seed: u64) -> ClientConfig {
-    ClientConfig {
-        backoff: BackoffPolicy {
-            base: Duration::from_millis(20),
-            cap: Duration::from_millis(200),
-            seed,
-        },
-        fault: FaultPlan::none(),
-        read_timeout: Duration::from_millis(5),
-    }
-}
 
 /// Build a controller whose SAV app journals to (and recovers from) `dir`.
 /// Returns the counters handle so the test can watch recovery/reconcile
@@ -89,89 +58,11 @@ fn controller_with_store(topo: &Arc<Topology>, dir: &std::path::Path) -> (Contro
     (Controller::new(apps), counters)
 }
 
-/// One switch's edge: its frame injector, its host-side deliveries, and the
-/// simulated hosts hanging off its access ports.
-struct Edge {
-    injector: SyncSender<(u32, Vec<u8>)>,
-    delivered_rx: Receiver<(u32, Vec<u8>)>,
-    hosts: HashMap<u32, Host>,
-    /// This switch's inter-switch port (differs per switch in `linear`).
-    trunk: u32,
-    /// The peer switch's inter-switch port.
-    peer_trunk: u32,
-}
-
-/// Move frames until the data plane goes quiet: host-port deliveries feed
-/// the attached host state machines (whose responses are re-injected), and
-/// trunk-port frames cross to the other switch. Returns every
-/// application-level delivery observed.
-fn pump(edges: &mut [Edge; 2]) -> Vec<(usize, u32, Delivery)> {
-    let mut out = Vec::new();
-    let mut moved = true;
-    while moved {
-        moved = false;
-        for i in 0..2 {
-            while let Ok((port, frame)) = edges[i].delivered_rx.try_recv() {
-                moved = true;
-                if port == edges[i].trunk {
-                    let peer_port = edges[i].peer_trunk;
-                    edges[1 - i].injector.send((peer_port, frame)).unwrap();
-                    continue;
-                }
-                if let Some(host) = edges[i].hosts.get_mut(&port) {
-                    let ho = host.on_frame(&frame);
-                    for tx in ho.tx {
-                        edges[i].injector.send((port, tx)).unwrap();
-                    }
-                    for d in ho.delivered {
-                        out.push((i, port, d));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// Pump the data plane until `cond` holds (checked after each pump round)
-/// or `timeout` passes; accumulated deliveries go into `sink`.
-fn pump_until(
-    edges: &mut [Edge; 2],
-    sink: &mut Vec<(usize, u32, Delivery)>,
-    timeout: Duration,
-    mut cond: impl FnMut(&[Edge; 2], &[(usize, u32, Delivery)]) -> bool,
-) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        sink.extend(pump(edges));
-        if cond(edges, sink) {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-fn wait_for(timeout: Duration, mut cond: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if cond() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    cond()
-}
-
 /// The whole story: bind via DHCP, kill the controller, restart it from the
 /// WAL, and verify enforcement resumes with no re-binding of any kind.
 #[test]
 fn controller_restart_recovers_bindings_over_tcp() {
-    let dir = std::env::temp_dir().join(format!("sav-restart-recovery-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = tmp("restart-recovery");
 
     let topo = Arc::new(generators::linear(2, 2));
     let hosts = topo.hosts();
@@ -186,8 +77,8 @@ fn controller_restart_recovers_bindings_over_tcp() {
 
     let (d0_tx, d0_rx) = channel();
     let (d1_tx, d1_rx) = channel();
-    let c0 = client::spawn(addr, mk_switch(1), fast_client_config(1), vec![], d0_tx);
-    let c1 = client::spawn(addr, mk_switch(2), fast_client_config(2), vec![], d1_tx);
+    let c0 = client::spawn(addr, mk_switch(1, 3), fast_client_config(1), vec![], d0_tx);
+    let c1 = client::spawn(addr, mk_switch(2, 3), fast_client_config(2), vec![], d1_tx);
 
     let ctrl = server.controller();
     assert!(
@@ -213,8 +104,7 @@ fn controller_restart_recovers_bindings_over_tcp() {
         Edge {
             injector: c0.injector(),
             delivered_rx: d0_rx,
-            trunk: trunk0,
-            peer_trunk: trunk1,
+            trunks: HashMap::from([(trunk0, (1, trunk1))]),
             hosts: HashMap::from([
                 (
                     server_node.port,
@@ -237,8 +127,7 @@ fn controller_restart_recovers_bindings_over_tcp() {
         Edge {
             injector: c1.injector(),
             delivered_rx: d1_rx,
-            trunk: trunk1,
-            peer_trunk: trunk0,
+            trunks: HashMap::from([(trunk1, (0, trunk0))]),
             hosts: HashMap::from([
                 (
                     host_b.port,
@@ -424,6 +313,15 @@ fn controller_restart_recovers_bindings_over_tcp() {
             "injector shed frames"
         );
     }
+
+    println!(
+        "restart recovery: {} bindings read back from the WAL, {dhcp_acks} DHCP acks seen; \
+         reconcile kept {}, deleted {}, installed {}",
+        counters2.get("recovered_bindings"),
+        counters2.get("reconciled_kept"),
+        counters2.get("reconciled_deleted"),
+        counters2.get("reconciled_installed"),
+    );
 
     c0.stop();
     c1.stop();
